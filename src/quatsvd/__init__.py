@@ -3,13 +3,13 @@
 The decomposition A = U @ Sigma @ conj(V).T of a dense quaternion
 matrix is computed by reducing A to a *real* bidiagonal matrix with
 quaternion Householder reflectors and diagonalizing the real core with
-implicit-shift QR.  A real-adjoint + one-sided Jacobi oracle provides
+LAPACK's SVD.  A real-adjoint + one-sided Jacobi oracle provides
 independent singular values, with a stated error bound, for validation.
 """
 
 from .bidiag import BidiagResult, bidiagonalize, check_bidiagonal, extract_band
 from .errors import (BadTarget, FormatError, GroupingFailure, NoConvergence,
-                     NotBidiagonal, NotSymmetric, ShapeMismatch)
+                     NonFiniteInput, NotBidiagonal, NotSymmetric, ShapeMismatch)
 from .formats import (matrix_file_kind, read_qmatrix, read_rmatrix,
                       write_qmatrix, write_rmatrix)
 from .householder import (HouseholderReflector, Side, apply_left, apply_right,
@@ -20,20 +20,20 @@ from .oracle import (adjoint_error_bound, adjoint_singular_values, jacobi_eigen,
 from .qmat import QMatrix, QVector, RMatrix, random_qmatrix
 from .qsvd import QsvdResult, VerifyReport, qsvd, reconstruct, verify
 from .quat import Quaternion
-from .rsvd import BidiagonalBand, RealSvdResult, bidiag_svd, givens
+from .rsvd import BidiagonalBand, RealSvdResult, bidiag_svd
 
 __all__ = [
     "Quaternion", "QVector", "QMatrix", "RMatrix", "random_qmatrix",
     "HouseholderReflector", "Side", "left_householder", "right_householder",
     "right_householder_direct", "apply_left", "apply_right", "form_matrix",
     "BidiagResult", "bidiagonalize", "check_bidiagonal", "extract_band",
-    "BidiagonalBand", "RealSvdResult", "givens", "bidiag_svd",
+    "BidiagonalBand", "RealSvdResult", "bidiag_svd",
     "real_adjoint", "jacobi_eigen", "adjoint_singular_values", "adjoint_error_bound",
     "QsvdResult", "VerifyReport", "qsvd", "reconstruct", "verify",
     "read_qmatrix", "read_rmatrix", "write_qmatrix", "write_rmatrix",
     "matrix_file_kind",
     "ShapeMismatch", "BadTarget", "NotBidiagonal", "NotSymmetric",
-    "NoConvergence", "GroupingFailure", "FormatError",
+    "NoConvergence", "GroupingFailure", "FormatError", "NonFiniteInput",
 ]
 
 __version__ = "0.1.0"

@@ -4,8 +4,8 @@ Commands: ``gen`` (seeded random matrix), ``bidiag`` (real bidiagonal
 reduction), ``svd`` (full decomposition), ``check`` (verify stored
 factors against the source matrix), ``adjoint-svs`` (oracle singular
 values).  Exit codes: 0 success/pass, 1 verification failure, 2 parse
-or shape problems, 3 numerical failure (non-convergence, or oracle runs
-of four that do not resolve).
+or shape problems or a non-finite input entry, 3 numerical failure
+(non-convergence, or oracle runs of four that do not resolve).
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, GroupingFailure, NoConvergence, ShapeMismatch
+from .errors import (FormatError, GroupingFailure, NoConvergence, NonFiniteInput,
+                     ShapeMismatch)
 from .formats import read_qmatrix, read_rmatrix, write_qmatrix, write_rmatrix
 from .oracle import adjoint_singular_values
 from .bidiag import bidiagonalize
@@ -199,7 +200,7 @@ def main(argv=None) -> int:
     except _CommandError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code
-    except (ShapeMismatch, FormatError) as err:
+    except (ShapeMismatch, FormatError, NonFiniteInput) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (NoConvergence, GroupingFailure) as err:

@@ -13,6 +13,10 @@ class NotBidiagonal(ValueError):
     """Matrix has nonzero entries outside the bidiagonal band."""
 
 
+class NonFiniteInput(ValueError):
+    """Input matrix has a NaN or infinite entry."""
+
+
 class NotSymmetric(ValueError):
     """Matrix handed to the symmetric eigensolver is not symmetric."""
 

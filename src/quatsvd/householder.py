@@ -80,7 +80,7 @@ def left_householder(a: QVector, v) -> HouseholderReflector:
     `v` must be a real unit vector of the same length.  Construction:
     with ``alpha = norm(a)`` and ``r = |sum_i a_i v_i|``, take ``zeta = 1``
     when r vanishes and ``-(sum_i a_i v_i)/r`` otherwise, then
-    ``u = (a - zeta*v*alpha) / sqrt(alpha*(alpha + r))``.  A zero `a`
+    ``u = (a - zeta*v*alpha) / (sqrt(alpha) * sqrt(alpha + r))``.  A zero `a`
     yields the identity reflector (zero u, zeta = 1).
     """
     v = _check_target(a, v)
@@ -96,7 +96,7 @@ def left_householder(a: QVector, v) -> HouseholderReflector:
         r = 0.0
     else:
         zeta4 = -t / r
-    mu = math.sqrt(alpha * (alpha + r))
+    mu = math.sqrt(alpha) * math.sqrt(alpha + r)  # no overflow of alpha**2
     u = (a.data - np.outer(v * alpha, zeta4)) / mu
     return HouseholderReflector(QVector(u), Quaternion(*zeta4), Side.LEFT)
 
@@ -135,7 +135,7 @@ def right_householder_direct(a_row: QVector, v) -> HouseholderReflector:
         r = 0.0
     else:
         zeta4 = -t / r
-    mu = math.sqrt(alpha * (alpha + r))
+    mu = math.sqrt(alpha) * math.sqrt(alpha + r)  # no overflow of alpha**2
     zbar = zeta4 * np.array([1.0, -1.0, -1.0, -1.0])
     u = (np.outer(v * alpha, zbar) - _conj(a_row.data)) / mu
     return HouseholderReflector(QVector(u), Quaternion(*zeta4), Side.RIGHT)

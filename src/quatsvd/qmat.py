@@ -114,13 +114,6 @@ class QVector:
         """Euclidean norm, the square root of the summed squared moduli."""
         return _safe_norm(self.data.ravel())
 
-    def dot_transpose(self, other: QVector) -> Quaternion:
-        """Plain transpose inner product sum_i self[i] * other[i] (no conjugation)."""
-        if len(self) != len(other):
-            raise ShapeMismatch("vector lengths differ")
-        prod = _hmatmul(self.data[np.newaxis, :, :], other.data[:, np.newaxis, :])
-        return Quaternion(*prod[0, 0])
-
     def outer_hermitian(self) -> QMatrix:
         """Rank-one Hermitian matrix with entries ``u_i * conj(u_j)``."""
         u = self.data

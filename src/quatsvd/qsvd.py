@@ -1,14 +1,16 @@
 """Singular value decomposition of a quaternion matrix.
 
 Pipeline: reduce A to a real bidiagonal B with quaternion Householder
-reflectors (L A R = B), run the real implicit-shift QR kernel on the
-band, and lift the real rotations back through the quaternion factors:
+reflectors (L A R = B), take the SVD of the real band with LAPACK, and
+lift the real factors back through the quaternion ones:
 
     A = U Sigma conj(V).T,   U = conj(L).T W,   V = R X
 
 with W, X embedded into identities when A is not square.  The real core
-never sees quaternions and the quaternion factors are touched exactly
-twice, so values and vectors inherit the real kernel's accuracy.
+never sees quaternions and the lift is four real gemms per factor, so
+values and vectors inherit the real SVD's accuracy.  A is first scaled
+by an exact power of two, so that no intermediate overflows or
+underflows, and sigma is scaled back at the end.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bidiag import bidiagonalize, extract_band
-from .errors import GroupingFailure, NoConvergence, ShapeMismatch
-from .oracle import adjoint_singular_values
+from .errors import GroupingFailure, NoConvergence, NonFiniteInput, ShapeMismatch
+from .oracle import adjoint_error_bound, adjoint_singular_values
 from .qmat import QMatrix, RMatrix
 from .rsvd import BidiagonalBand, bidiag_svd
 
@@ -34,12 +36,25 @@ class QsvdResult:
     v: QMatrix | None
 
 
-def _embed(core: np.ndarray, size: int) -> QMatrix:
-    """Real core block placed in the leading corner of a size x size identity."""
+def _check_finite(a: QMatrix) -> None:
+    bad = ~np.isfinite(a.data).all(axis=-1)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise NonFiniteInput(f"entry ({i}, {j}) is not finite: {a.data[i, j].tolist()}")
+
+
+def _exponent(data: np.ndarray) -> int:
+    """e with max |entry| * 2**-e in [1/2, 1); 0 for the zero matrix."""
+    return int(np.frexp(np.abs(data).max())[1]) if data.size else 0
+
+
+def _lift(q: np.ndarray, core: np.ndarray, cols: int) -> QMatrix:
+    """First `cols` columns of ``q @ diag(core, I)`` for a quaternion
+    component array q and a real n x n core: one real gemm per component
+    on the leading n columns, the rest copied."""
     n = core.shape[0]
-    out = np.zeros((size, size, 4))
-    out[np.arange(size), np.arange(size), 0] = 1.0
-    out[:n, :n, 0] = core
+    out = q[:, :cols, :].copy()
+    out[:, :n, :] = np.matmul(q[:, :n, :].transpose(2, 0, 1), core).transpose(1, 2, 0)
     return QMatrix(out)
 
 
@@ -49,31 +64,26 @@ def qsvd(a: QMatrix, want_vectors: bool = True, thin: bool = False) -> QsvdResul
     Returns square unitary factors U (r x r) and V (c x c) by default;
     ``thin=True`` keeps only the leading n = min(r, c) columns of each.
     ``want_vectors=False`` skips all factor accumulation and returns
-    sigma alone.  Raises NoConvergence if the real kernel stalls.
+    sigma alone.  Raises NonFiniteInput, naming the first NaN or infinite
+    entry, and NoConvergence if the real SVD fails.
     """
+    _check_finite(a)
     r, c = a.shape
     n = min(r, c)
-    bd = bidiagonalize(a, accumulate=want_vectors)
+    exponent = _exponent(a.data)
+    bd = bidiagonalize(QMatrix(np.ldexp(a.data, -exponent)), accumulate=want_vectors)
     d, e = extract_band(bd.bidiagonal, lower=not bd.upper)
     core = bidiag_svd(BidiagonalBand(d, e), want_vectors=want_vectors)
+    sigma = np.ldexp(core.sigma, exponent)
     if not want_vectors:
-        return QsvdResult(u=None, sigma=core.sigma, v=None)
+        return QsvdResult(u=None, sigma=sigma, v=None)
 
-    if bd.upper:
-        w_emb = _embed(core.w.data, r)
-        x_emb = _embed(core.x.data, c)
-    else:
-        # B is lower bidiagonal: the band was transposed on the way in,
-        # so the roles of the real factors swap on the way out.
-        w_emb = _embed(core.x.data, r)
-        x_emb = _embed(core.w.data, c)
-
-    u = bd.left.conj_transpose() @ w_emb
-    v = bd.right @ x_emb
-    if thin:
-        u = QMatrix(u.data[:, :n, :].copy())
-        v = QMatrix(v.data[:, :n, :].copy())
-    return QsvdResult(u=u, sigma=core.sigma, v=v)
+    # B is lower bidiagonal when A is wide: the band was transposed on the
+    # way in, so the roles of the real factors swap on the way out.
+    w, x = (core.w.data, core.x.data) if bd.upper else (core.x.data, core.w.data)
+    u = _lift(bd.left.conj_transpose().data, w, n if thin else r)
+    v = _lift(bd.right.data, x, n if thin else c)
+    return QsvdResult(u=u, sigma=sigma, v=v)
 
 
 def reconstruct(res: QsvdResult, r: int, c: int) -> QMatrix:
@@ -137,18 +147,28 @@ def verify(a: QMatrix, res: QsvdResult, tol: float = 1e-10,
 
     Residuals are normalized (by max(r, c) and the relevant norms) so
     every check passes iff its value is at most `tol`; the structural
-    checks (nonnegativity, ordering) must hold outright.
+    checks (nonnegativity, ordering) must hold outright.  The oracle
+    check allows `tol` plus the oracle's own relative error bound.  The
+    reconstruction runs on A and sigma scaled by the same exact power of
+    two, which leaves its ratio unchanged but keeps the products clear of
+    overflow and of the subnormal range.  Its bound adds the float64
+    floor: each sigma is stored to at best half the smallest subnormal
+    spacing, so a subnormal-scale A cannot be rebuilt to better than
+    sqrt(n) * 2**-1075 in absolute terms; the bound allows n * 2**-1074.
     """
     r, c = a.shape
     scale = float(max(r, c))
-    norm_a = a.frobenius_norm()
     sigma = np.asarray(res.sigma, dtype=np.float64)
+    exponent = _exponent(a.data)
+    a_scaled = QMatrix(np.ldexp(a.data, -exponent))
+    norm_a = a_scaled.frobenius_norm()
 
     checks = []
-    recon = reconstruct(res, r, c)
+    recon = reconstruct(QsvdResult(u=res.u, sigma=np.ldexp(sigma, -exponent), v=res.v), r, c)
     rec_denom = scale * norm_a if norm_a > 0.0 else 1.0
+    floor = len(sigma) * float(np.ldexp(1.0, -1074 - exponent)) / rec_denom
     checks.append(CheckResult(
-        "reconstruction", (a - recon).frobenius_norm() / rec_denom, tol))
+        "reconstruction", (a_scaled - recon).frobenius_norm() / rec_denom, tol + floor))
     checks.append(CheckResult(
         "unitarity(U)", _unitarity_residual(res.u) / scale, tol))
     checks.append(CheckResult(
@@ -163,7 +183,8 @@ def verify(a: QMatrix, res: QsvdResult, tol: float = 1e-10,
             ref = adjoint_singular_values(a)
             denom = float(ref.max()) if ref.size and ref.max() > 0.0 else 1.0
             dev = float(np.abs(sigma - ref).max()) if sigma.shape == ref.shape else np.inf
-            checks.append(CheckResult("oracle", dev / denom, tol))
+            floor = adjoint_error_bound(a, denom) / denom
+            checks.append(CheckResult("oracle", dev / denom, tol + floor))
         except (GroupingFailure, NoConvergence):
             # Oracle breakdown is reported as a failed check, not an exception.
             checks.append(CheckResult("oracle", np.inf, tol))

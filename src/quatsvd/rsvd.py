@@ -1,11 +1,12 @@
-"""SVD of a real upper bidiagonal matrix by implicit-shift QR.
+"""SVD of a real bidiagonal band through LAPACK.
 
-Works directly on the compact (d, e) band: each sweep drives one
-superdiagonal entry to negligibility with a bulge-chasing sequence of
-Givens rotations, shifted by the Wilkinson eigenvalue estimate of the
-trailing 2x2 of B^T B.  Rotations are accumulated into W and X so that
-``W @ diag(sigma) @ X.T`` rebuilds the band; a final pass folds signs
-into X and sorts everything descending.
+The band is expanded to a dense matrix and handed to ``np.linalg.svd``
+(LAPACK xGESDD), which keeps the relative accuracy of bidiagonal SVD
+(Demmel & Kahan 1990): small values of a graded band are not flushed.
+Singular values always come from the values-only call, so both modes
+return bit-identical sigma.  Each (W, X) column pair is signed so that
+the largest entry of the W column is positive; ``W @ diag(sigma) @ X.T``
+rebuilds the band.
 """
 
 from __future__ import annotations
@@ -18,10 +19,7 @@ import numpy as np
 from .errors import NoConvergence
 from .qmat import RMatrix
 
-EPS = 2.0 ** -52
-MAX_SWEEPS_PER_VALUE = 30
-
-__all__ = ["BidiagonalBand", "RealSvdResult", "givens", "bidiag_svd"]
+__all__ = ["BidiagonalBand", "RealSvdResult", "bidiag_svd"]
 
 
 @dataclass(frozen=True)
@@ -60,155 +58,23 @@ class RealSvdResult:
     x: RMatrix
 
 
-def givens(a: float, b: float) -> tuple[float, float, float]:
-    """Rotation (c, s, r) with [[c, s], [-s, c]] @ (a, b) = (r, 0).
-
-    (0, 0) maps to (1, 0, 0); b = 0 keeps the sign of `a` in r.
-    """
-    if b == 0.0:
-        return 1.0, 0.0, a
-    if a == 0.0:
-        return 0.0, math.copysign(1.0, b), abs(b)
-    r = math.hypot(a, b)
-    return a / r, b / r, r
-
-
-def _rot_cols(m: np.ndarray, i: int, j: int, c: float, s: float) -> None:
-    ci = m[:, i].copy()
-    cj = m[:, j]
-    m[:, i] = c * ci + s * cj
-    m[:, j] = -s * ci + c * cj
-
-
-def _wilkinson_shift(d, e, lo, hi) -> float:
-    t11 = d[hi - 1] ** 2 + (e[hi - 2] ** 2 if hi - 1 > lo else 0.0)
-    t12 = d[hi - 1] * e[hi - 1]
-    t22 = d[hi] ** 2 + e[hi - 1] ** 2
-    if t12 == 0.0:
-        return t22
-    delta = (t11 - t22) / 2.0
-    return t22 - t12 ** 2 / (delta + math.copysign(math.hypot(delta, t12), delta))
-
-
-def _qr_step(d, e, lo, hi, w, x) -> None:
-    """One implicit-shift sweep on the window [lo, hi] (all e nonzero)."""
-    mu = _wilkinson_shift(d, e, lo, hi)
-    f = d[lo] ** 2 - mu
-    g = d[lo] * e[lo]
-    for k in range(lo, hi):
-        c, s, r = givens(f, g)
-        if k > lo:
-            e[k - 1] = r
-        dk, ek, dk1 = d[k], e[k], d[k + 1]
-        d[k] = c * dk + s * ek
-        e[k] = -s * dk + c * ek
-        bulge = s * dk1
-        d[k + 1] = c * dk1
-        if x is not None:
-            _rot_cols(x, k, k + 1, c, s)
-
-        c2, s2, r2 = givens(d[k], bulge)
-        d[k] = r2
-        ek, dk1 = e[k], d[k + 1]
-        e[k] = c2 * ek + s2 * dk1
-        d[k + 1] = -s2 * ek + c2 * dk1
-        if k < hi - 1:
-            g = s2 * e[k + 1]
-            e[k + 1] = c2 * e[k + 1]
-            f = e[k]
-        if w is not None:
-            _rot_cols(w, k, k + 1, c2, s2)
-
-
-def _annihilate_row(d, e, i, hi, w) -> None:
-    """d[i] ~ 0 with i < hi: rotate row i into rows below, zeroing e[i]."""
-    g = e[i]
-    e[i] = 0.0
-    for j in range(i + 1, hi + 1):
-        c, s, r = givens(d[j], g)
-        d[j] = r
-        if w is not None:
-            _rot_cols(w, j, i, c, s)
-        if j < hi:
-            g = -s * e[j]
-            e[j] = c * e[j]
-
-
-def _annihilate_col(d, e, lo, hi, x) -> None:
-    """d[hi] ~ 0: rotate column hi into columns to the left, zeroing e[hi-1]."""
-    g = e[hi - 1]
-    e[hi - 1] = 0.0
-    for j in range(hi - 1, lo - 1, -1):
-        c, s, r = givens(d[j], g)
-        d[j] = r
-        if x is not None:
-            _rot_cols(x, j, hi, c, s)
-        if j > lo:
-            g = -s * e[j - 1]
-            e[j - 1] = c * e[j - 1]
-
-
 def bidiag_svd(band: BidiagonalBand, want_vectors: bool = True) -> RealSvdResult:
     """Full SVD of the bidiagonal matrix held in `band`.
 
     Returns orthogonal W, X and nonnegative descending sigma with
     ``W @ diag(sigma) @ X.T`` equal to the band.  With
-    ``want_vectors=False`` the rotations are not accumulated and W, X
-    come back as identity placeholders.
+    ``want_vectors=False`` W and X come back as identity placeholders.
+    Raises NoConvergence if LAPACK reports that the SVD did not converge.
     """
-    n = band.n
-    d = band.d.copy()
-    e = band.e.copy()
-    w = np.eye(n) if want_vectors else None
-    x = np.eye(n) if want_vectors else None
-    norm_b = band.frobenius_norm()
-    budget = MAX_SWEEPS_PER_VALUE * n
-
-    hi = n - 1
-    while hi > 0:
-        for i in range(hi):
-            if abs(e[i]) <= EPS * (abs(d[i]) + abs(d[i + 1])):
-                e[i] = 0.0
-        if e[hi - 1] == 0.0:
-            hi -= 1
-            continue
-        lo = hi - 1
-        while lo > 0 and e[lo - 1] != 0.0:
-            lo -= 1
-
-        # A vanishing diagonal inside the window would stall the shift;
-        # split it off with an explicit rotation sweep instead.
-        split = False
-        for i in range(lo, hi + 1):
-            if abs(d[i]) <= EPS * norm_b:
-                d[i] = 0.0
-                if i < hi:
-                    _annihilate_row(d, e, i, hi, w)
-                else:
-                    _annihilate_col(d, e, lo, hi, x)
-                split = True
-                break
-        if split:
-            continue
-
-        if budget == 0:
-            raise NoConvergence(
-                f"bidiagonal SVD failed to deflate within {MAX_SWEEPS_PER_VALUE * n} sweeps")
-        budget -= 1
-        _qr_step(d, e, lo, hi, w, x)
-
-    for i in range(n):
-        if d[i] < 0.0:
-            d[i] = -d[i]
-            if x is not None:
-                x[:, i] = -x[:, i]
-
-    order = np.argsort(-d, kind="stable")
-    sigma = d[order]
-    if want_vectors:
-        w = w[:, order]
-        x = x[:, order]
-    else:
-        w = np.eye(n)
-        x = np.eye(n)
-    return RealSvdResult(w=RMatrix(w), sigma=sigma, x=RMatrix(x))
+    dense = band.dense().data
+    eye = np.eye(band.n)
+    try:
+        sigma = np.linalg.svd(dense, compute_uv=False)
+        if not want_vectors:
+            return RealSvdResult(w=RMatrix(eye), sigma=sigma, x=RMatrix(eye.copy()))
+        w, _, xt = np.linalg.svd(dense)
+    except np.linalg.LinAlgError as err:
+        raise NoConvergence(f"LAPACK bidiagonal SVD: {err}") from None
+    pivot = w[np.argmax(np.abs(w), axis=0), np.arange(band.n)]
+    flip = np.where(pivot < 0.0, -1.0, 1.0)
+    return RealSvdResult(w=RMatrix(w * flip), sigma=sigma, x=RMatrix(xt.T * flip))

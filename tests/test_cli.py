@@ -243,6 +243,18 @@ def test_missing_input_exits_two(tmp_path, capsys):
     assert "no such file" in captured.err
 
 
+def test_non_finite_input_exits_two(tmp_path, capsys):
+    for name, bad in [("nan", np.nan), ("inf", np.inf)]:
+        a = random_qmatrix(3, 2, np.random.default_rng(4))
+        a.data[1, 0, 2] = bad
+        src = tmp_path / f"{name}.qmat"
+        write_qmatrix(a, src)
+        code = main(["svd", str(src), "--out-dir", str(tmp_path / name)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "(1, 0)" in captured.err and "not finite" in captured.err
+
+
 def test_unknown_command_exits_two(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()

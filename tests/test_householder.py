@@ -215,6 +215,18 @@ def test_direct_right_formula_matches_reduction(seed, n):
     assert np.linalg.norm(out.data - target) <= 1e-12 * a.norm()
 
 
+@pytest.mark.parametrize("build", [left_householder, right_householder, right_householder_direct])
+def test_reflector_near_overflow(build):
+    # alpha * (alpha + r) overflows here; the reflector must not.
+    a = QVector(np.random.default_rng(8).uniform(-1, 1, (4, 4)) * 1e300)
+    h = build(a, e1(4))
+    assert h.u.norm() == pytest.approx(SQRT2, rel=1e-14)
+    apply = apply_left if h.side is Side.LEFT else apply_right
+    out = apply(h, a).data
+    assert out[0, 0] == pytest.approx(a.norm(), rel=1e-14)
+    assert np.abs(out.ravel()[1:]).max() <= 1e-14 * a.norm()
+
+
 def test_real_example_involution():
     a = QVector.from_quaternions([Quaternion(3), Quaternion(0), Quaternion(0)])
     h = left_householder(a, e1(3))

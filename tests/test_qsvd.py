@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quatsvd import (
+    NonFiniteInput,
     QMatrix,
     QVector,
     QsvdResult,
@@ -131,6 +132,40 @@ def test_rank_one_products_have_one_singular_value(seed, r, c):
     assert np.all(sigma[1:] <= 1e-12 * sigma[0])
 
 
+@given(seeds, st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5),
+       st.integers(min_value=-1070, max_value=1020))
+@settings(max_examples=80, deadline=None)
+def test_power_of_two_scaling_keeps_the_contract(seed, r, c, k):
+    base = np.random.default_rng(seed).uniform(-1.0, 1.0, (r, c, 4))
+    a = QMatrix(np.ldexp(base, k))
+    res = qsvd(a)
+    report = verify(a, res, with_oracle=False)
+    assert report.passed, report.failures()
+    if k >= -960:
+        # The entry scaling maps a and base onto the same matrix, so sigma
+        # scales exactly as long as no entry of a is subnormal.
+        assert np.array_equal(res.sigma, np.ldexp(qsvd(QMatrix(base)).sigma, k))
+
+
+@pytest.mark.parametrize("factor", [1e300, 1e-300, 1e-310])
+def test_extreme_scales_keep_relative_accuracy(factor):
+    a = random_qmatrix(4, 3, np.random.default_rng(12))
+    expect = qsvd(a, want_vectors=False).sigma * factor
+    got = qsvd(QMatrix(a.data * factor), want_vectors=False).sigma
+    assert np.max(np.abs(got - expect) / expect) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("want_vectors", [True, False])
+def test_non_finite_entry_is_named(bad, want_vectors):
+    a = random_qmatrix(3, 4, np.random.default_rng(6))
+    a.data[2, 1, 3] = bad
+    a.data[2, 3, 0] = bad
+    with pytest.raises(NonFiniteInput, match=r"\(2, 1\)"):
+        qsvd(a, want_vectors=want_vectors)
+    assert issubclass(NonFiniteInput, ValueError)
+
+
 # --- result/factor plumbing ----------------------------------------------------------
 
 
@@ -215,6 +250,15 @@ def test_verify_accepts_rank_deficient_products():
         a = random_qmatrix(6, 2, rng) @ random_qmatrix(2, 5, rng)
         report = verify(a, qsvd(a))
         assert report.passed, report.failures()
+
+
+def test_verify_oracle_bound_includes_the_oracle_floor():
+    # The oracle is accurate to 8 n eps (n = 96 here), so a tol below that
+    # must not turn its own error into a rejection of correct factors.
+    a = random_qmatrix(200, 24, np.random.default_rng(0))
+    report = verify(a, qsvd(a), tol=1e-14)
+    assert report.passed, report.failures()
+    assert report["oracle"].bound > 1e-14
 
 
 def test_verify_without_oracle_has_five_checks():

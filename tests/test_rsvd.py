@@ -1,13 +1,16 @@
-"""Implicit-shift QR SVD of real bidiagonal bands."""
+"""SVD of real bidiagonal bands."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatsvd import BidiagonalBand, RMatrix, bidiag_svd, givens, jacobi_eigen
+import quatsvd.rsvd as rsvd
+from quatsvd import BidiagonalBand, NoConvergence, RMatrix, bidiag_svd, jacobi_eigen
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -27,39 +30,6 @@ def recon_error(band, res):
 
 def orth_error(m):
     return np.linalg.norm(m.data.T @ m.data - np.eye(m.data.shape[0]))
-
-
-# --- givens -------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "a, b, expect",
-    [
-        (1.0, 0.0, (1.0, 0.0, 1.0)),
-        (-2.0, 0.0, (1.0, 0.0, -2.0)),
-        (0.0, 0.0, (1.0, 0.0, 0.0)),
-        (0.0, 5.0, (0.0, 1.0, 5.0)),
-        (0.0, -5.0, (0.0, -1.0, 5.0)),
-        (3.0, 4.0, (0.6, 0.8, 5.0)),
-    ],
-)
-def test_givens_table(a, b, expect):
-    assert givens(a, b) == expect
-
-
-# subnormals excluded: hypot collapses there and the QR loop never produces
-# them (deflation floors entries at eps * ||B||)
-finite_normal = st.floats(-1e6, 1e6, allow_subnormal=False)
-
-
-@given(finite_normal, finite_normal)
-@settings(max_examples=200, deadline=None)
-def test_givens_rotates_onto_first_axis(a, b):
-    c, s, r = givens(a, b)
-    mag = math.hypot(a, b)
-    assert abs(c * a + s * b - r) <= 1e-14 * max(mag, 1.0)
-    assert abs(-s * a + c * b) <= 1e-14 * max(mag, 1.0)
-    assert abs(c * c + s * s - 1.0) <= 1e-14
 
 
 # --- small frozen cases ---------------------------------------------------------
@@ -165,6 +135,30 @@ def test_graded_band_keeps_small_values():
     res = bidiag_svd(band)
     assert recon_error(band, res) <= 1e-13 * 3 * band.frobenius_norm()
     assert res.sigma[-1] > 0.0  # far above underflow, must not be flushed
+
+
+@pytest.mark.parametrize("want_vectors", [True, False])
+def test_strongly_graded_band_keeps_its_determinant(want_vectors):
+    # |det B| = prod |d_i| for a bidiagonal B, so the product of the singular
+    # values checks every one of them to relative accuracy, down to 1e-20.
+    d = np.array([1.0, 1e-5, 1e-10, 1e-15, 1e-20])
+    res = bidiag_svd(BidiagonalBand(d, np.ones(4)), want_vectors=want_vectors)
+    assert np.prod(res.sigma) / np.prod(np.abs(d)) == pytest.approx(1.0, rel=1e-12, abs=0)
+
+
+def test_lapack_failure_raises_no_convergence(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(rsvd.np.linalg, "svd", fail)
+    with pytest.raises(NoConvergence):
+        bidiag_svd(BidiagonalBand([1.0, 2.0], [1.0]))
+
+
+def test_band_svd_has_no_python_loops():
+    tree = ast.parse(Path(rsvd.__file__).read_text())
+    loops = [node for node in ast.walk(tree) if isinstance(node, (ast.For, ast.While))]
+    assert loops == []
 
 
 # --- band container ---------------------------------------------------------------
