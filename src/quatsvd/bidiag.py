@@ -9,11 +9,16 @@ written as exact zero, with the discarded magnitude folded into a
 diagnostic, so the returned B is real and banded by construction rather
 than up to rounding noise.
 
-The work runs on planar (rows, 4, cols) copies: the four components of
+The work runs on a planar (rows, 4, cols) copy: the four components of
 a row sit in four consecutive real rows, so any row-and-column block
 reshapes without a copy to a (4 * rows, cols) real matrix.  Each
-reflector then costs two real gemms against the real form of u and a
-4x4 mix for the unit scalar z, on the work block and on both factors.
+reflector is applied once, to the work block, as two real gemms against
+the real form of u and a 4x4 mix for the unit scalar z.  The loop only
+records the reflectors; L and R are formed after it, the way LAPACK's
+xORGBR does, by applying panels of reflectors in compact-WY form
+``I - V T V*`` (Schreiber & Van Loan 1989) backward to a diagonal, so
+the factors cost real gemms of panel width rather than one rank-4
+update per reflector.
 
 Tall-or-square input yields an upper bidiagonal B; a wide matrix is
 handled by reducing its conjugate transpose and transposing back, which
@@ -27,8 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotBidiagonal
-from .householder import HouseholderReflector, _z4, left_householder, right_householder
+from .householder import left_householder, right_householder
 from .qmat import QMatrix, QVector, RMatrix, _conj
+from .quat import Quaternion
 
 __all__ = ["BidiagResult", "bidiagonalize", "check_bidiagonal", "extract_band"]
 
@@ -71,33 +77,31 @@ def _unit_target(n: int) -> np.ndarray:
     return v
 
 
-def _reflect_left(h: HouseholderReflector, block: np.ndarray) -> None:
+def _reflect_left(u: np.ndarray, z4: np.ndarray, block: np.ndarray) -> None:
     """``block <- z (block - u (u* block))`` in place; `block` is planar
     (m, 4, n), so its (4m, n) reshape is a view and each contraction over
     the m quaternion rows is one real gemm against the 4m x 4 real form
     N of u (the real form of conj(u).T is N.T)."""
-    if h.is_identity:
-        return
     m, _, n = block.shape
     flat = block.reshape(4 * m, n)
-    nmat = _lmat(h.u.data).reshape(4 * m, 4)
+    nmat = _lmat(u).reshape(4 * m, 4)
     flat -= nmat @ (nmat.T @ flat)
-    block[...] = np.matmul(_lmat(np.array(_z4(h))), block)
+    block[...] = np.matmul(_lmat(z4), block)
 
 
-def _reflect_right(h: HouseholderReflector, block: np.ndarray) -> None:
+def _reflect_right(u: np.ndarray, z4: np.ndarray, block: np.ndarray) -> None:
     """``block <- (block - (block u) u*) z`` in place on a planar (m, 4, n)
     block: t = block u is one gemm over the columns followed by a 16 -> 4
     contraction with the structure constants, and the rank-4 update is
     one gemm against conj(u).T."""
-    if h.is_identity:
-        return
     m, _, n = block.shape
     flat = block.reshape(4 * m, n)
-    u = h.u.data
     t = (flat @ u).reshape(m, 16) @ _TO_T
     flat -= (t @ _FROM_T).reshape(4 * m, 4) @ _conj(u).T
-    block[...] = np.matmul(_rmat(np.array(_z4(h))), block)
+    block[...] = np.matmul(_rmat(z4), block)
+
+
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
@@ -118,15 +122,17 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
         )
 
     work = _planar(a)
-    lacc = _planar(QMatrix.identity(r)) if accumulate else None
-    racc = _planar(QMatrix.identity(c)) if accumulate else None
+    # (offset, u, s) of every non-identity reflector, in order, for the
+    # factors: L* and R are both products of (I - u u*) S, where S
+    # left-multiplies the rows from `offset` on by s (see _form_factor).
+    lrefl, rrefl = [], []
     residue = 0.0
 
     for k in range(c):
         h = left_householder(QVector(work[k:, :, k]), _unit_target(r - k))
-        _reflect_left(h, work[k:, :, k:])
-        if accumulate:
-            _reflect_left(h, lacc[k:])
+        if not h.is_identity:
+            _reflect_left(h.u.data, _q4(h.z), work[k:, :, k:])
+            lrefl.append((k, h.u.data, h.zeta))
 
         # The reflector sent this column to a real multiple of e1; anything
         # left over is rounding noise.  Measure it, then zero it.
@@ -137,22 +143,106 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
 
         if k <= c - 2:
             g = right_householder(QVector(work[k, :, k + 1:].T), _unit_target(c - 1 - k))
-            _reflect_right(g, work[k:, :, k + 1:])
-            if accumulate:
-                _reflect_right(g, racc[:, :, k + 1:])
+            if not g.is_identity:
+                _reflect_right(g.u.data, _q4(g.z), work[k:, :, k + 1:])
+                rrefl.append((k + 1, g.u.data, g.z))
 
             residue = max(residue, float(np.linalg.norm(work[k, 1:, k + 1])),
                           _max_entry_norm(work[k, :, k + 2:].T))
             work[k, 1:, k + 1] = 0.0
             work[k, :, k + 2:] = 0.0
 
+    left = right = None
+    if accumulate:
+        left = QMatrix(_form_factor(r, lrefl).transpose(2, 0, 1) * _CONJ)
+        right = QMatrix(_form_factor(c, rrefl).transpose(0, 2, 1))
     return BidiagResult(
-        left=QMatrix(lacc.transpose(0, 2, 1)) if accumulate else None,
+        left=left,
         bidiagonal=RMatrix(work[:, 0, :]),
-        right=QMatrix(racc.transpose(0, 2, 1)) if accumulate else None,
+        right=right,
         upper=True,
         snap_residue=residue,
     )
+
+
+def _q4(q) -> np.ndarray:
+    return np.array((q.w, q.x, q.y, q.z))
+
+
+# Reflectors per compact-WY panel.  Forming 128 x 128 and 256 x 256 factors,
+# widths 12 to 24 measured within 5 % of each other and 8 and 32 10-20 %
+# slower: wider panels spend more on T and the zero triangle of V,
+# narrower ones on per-panel overhead and gemms of width 4 * nb.
+_NB = 16
+# _lmat as a (16, 4) map from the components of q to the entries of its
+# 4x4 matrix, so that real forms are built by a matmul, not a fancy index.
+_LMAT_OF = _lmat(np.eye(4)).transpose(1, 2, 0).reshape(16, 4)
+
+
+def _form_factor(m: int, reflectors) -> np.ndarray:
+    """Planar (m, 4, m) product of ``(I - u_k u_k*) S_k`` over the
+    recorded ``(offset, u_k, s_k)``, k ascending, S_k left-multiplying the
+    rows from the offset on by the unit quaternion s_k.
+
+    Offsets ascend, so u_k lies inside the rows of every earlier S_j, and
+    for those ``S (I - u u*) = (I - (s u)(s u)*) S``.  Pushing every
+    scalar to the right leaves ``prod (I - v_k v_k*) D`` with
+    ``v_k = c_k u_k``, ``c_k = s_0 ... s_(k-1)``, and D diagonal: the rows
+    from offset k up to offset k+1 carry c_(k+1).  Panels of _NB
+    reflectors are then applied backward to D as ``I - V T V*`` in real
+    form on the planar view.  Each panel touches only the trailing
+    ``[o:, o:]`` block, o its first offset: everything applied so far acts
+    on rows and columns from the next panel's offset on, and D is diagonal.
+    """
+    diag = np.empty((m, 4))
+    scalars = []
+    cum = Quaternion(1.0)
+    row = 0
+    for offset, _, s in reflectors:
+        scalars.append(_q4(cum))
+        diag[row:offset] = scalars[-1]
+        cum = cum * s
+        row = offset
+    diag[row:] = _q4(cum)
+    out = np.zeros((m, 4, m))
+    out[np.arange(m), :, np.arange(m)] = diag
+
+    for p in reversed(range(0, len(reflectors), _NB)):
+        panel = reflectors[p:p + _NB]
+        o, width = panel[0][0], len(panel)
+        # Panel vectors as [j, component, row], then v_j = c_j u_j.
+        vt = np.zeros((width, 4, m - o))
+        for j, (offset, u, _) in enumerate(panel):
+            vt[j, :, offset - o:] = u.T
+        vt = np.matmul(_lmat(np.array(scalars[p:p + _NB])), vt)
+        # Real form V, columns ordered (component k, reflector j).
+        vp = np.ascontiguousarray(vt.transpose(2, 1, 0))
+        vmat = np.matmul(_LMAT_OF, vp).reshape(4 * (m - o), 4 * width)
+        flat = out[o:, :, o:].reshape(4 * (m - o), m - o)
+        flat -= vmat @ (_wy_t(vmat, width) @ (vmat.T @ flat))
+    return out
+
+
+def _wy_t(vmat: np.ndarray, width: int) -> np.ndarray:
+    """T with ``prod_j (I - v_j v_j*) = I - V T V*`` for the real form V
+    of `width` quaternion columns, ordered (component, column).
+
+    T = inv(I + strict block-upper(V* V)): every factor is exactly
+    I - v v* (tau = 1), whatever the rounding in |v|^2 = 2.  Only the
+    first real column of each 4x4 block of V.T V is computed (the
+    quaternions v_j* v_i); the blocks are expanded from them, and T is
+    solved block column by block column as in LAPACK's xLARFT.
+    """
+    # [component, j, i] of v_j* v_i, kept for j < i only.
+    gram = (vmat.T @ vmat[:, :width]).reshape(4, width, width) * np.triu(np.ones((width, width)), 1)
+    blocks = np.matmul(_LMAT_OF, gram.reshape(4, width * width))
+    # [j, l, i, k]: block (j, i) of the real form, in (column, component) order.
+    upper = blocks.reshape(4, 4, width, width).transpose(2, 0, 3, 1).reshape(4 * width, 4 * width)
+    t = np.eye(4 * width)
+    for s in range(4, 4 * width, 4):
+        t[:s, s:s + 4] = -t[:s, :s] @ upper[:s, s:s + 4]
+    # Back to (component, column) order.
+    return t.reshape(width, 4, width, 4).transpose(1, 0, 3, 2).reshape(4 * width, 4 * width)
 
 
 def _planar(a: QMatrix) -> np.ndarray:

@@ -21,7 +21,7 @@ from .errors import (FormatError, GroupingFailure, NoConvergence, NonFiniteInput
 from .formats import read_qmatrix, read_rmatrix, write_qmatrix, write_rmatrix
 from .oracle import adjoint_singular_values
 from .bidiag import bidiagonalize
-from .qmat import RMatrix, random_qmatrix
+from .qmat import RMatrix, _check_finite, random_qmatrix
 from .qsvd import QsvdResult, qsvd, verify
 
 __all__ = ["main", "entry"]
@@ -74,6 +74,14 @@ def _read(path: str, reader):
         raise _CommandError(2, f"{path}: {err}") from None
 
 
+def _read_finite(path: str):
+    """The QMAT at `path`, rejected with NonFiniteInput (exit 2) if an
+    entry is NaN or infinite; `svd` leaves that check to qsvd."""
+    a = _read(path, read_qmatrix)
+    _check_finite(a)
+    return a
+
+
 def _out_dir(ns) -> Path:
     directory = Path(ns.out_dir)
     directory.mkdir(parents=True, exist_ok=True)
@@ -89,7 +97,7 @@ def _run_gen(ns) -> int:
 
 
 def _run_bidiag(ns) -> int:
-    a = _read(ns.input, read_qmatrix)
+    a = _read_finite(ns.input)
     result = bidiagonalize(a)
     directory = _out_dir(ns)
     write_qmatrix(result.left, directory / "L.qmat")
@@ -120,7 +128,7 @@ def _sigma_from_file(s: RMatrix, rows: int, cols: int) -> np.ndarray:
 
 
 def _run_check(ns) -> int:
-    a = _read(ns.input, read_qmatrix)
+    a = _read_finite(ns.input)
     u = _read(ns.u, read_qmatrix)
     s = _read(ns.s, read_rmatrix)
     v = _read(ns.v, read_qmatrix)
@@ -143,7 +151,7 @@ def _run_check(ns) -> int:
 
 
 def _run_adjoint_svs(ns) -> int:
-    a = _read(ns.input, read_qmatrix)
+    a = _read_finite(ns.input)
     for value in adjoint_singular_values(a):
         print(repr(float(value)))
     return 0

@@ -9,7 +9,7 @@ written with shortest round-trip formatting, so write/parse is bit-exact.
 
 from __future__ import annotations
 
-import os
+from itertools import chain
 
 import numpy as np
 
@@ -21,21 +21,16 @@ RMAT_MAGIC = "RMAT"
 FORMAT_VERSION = 1
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def write_qmatrix(matrix: QMatrix, path) -> None:
-    lines = [f"{QMAT_MAGIC} {FORMAT_VERSION}", f"{matrix.rows} {matrix.cols}"]
-    for row in matrix.data.reshape(-1, 4):
-        lines.append(" ".join(_fmt(c) for c in row))
-    _write_lines(path, lines)
+    values = map(repr, matrix.data.ravel().tolist())
+    entries = map(" ".join, zip(values, values, values, values))
+    _write_lines(path, chain([f"{QMAT_MAGIC} {FORMAT_VERSION}", f"{matrix.rows} {matrix.cols}"],
+                             entries))
 
 
 def write_rmatrix(matrix: RMatrix, path) -> None:
-    lines = [f"{RMAT_MAGIC} {FORMAT_VERSION}", f"{matrix.rows} {matrix.cols}"]
-    lines.extend(_fmt(v) for v in matrix.data.ravel())
-    _write_lines(path, lines)
+    _write_lines(path, chain([f"{RMAT_MAGIC} {FORMAT_VERSION}", f"{matrix.rows} {matrix.cols}"],
+                             map(repr, matrix.data.ravel().tolist())))
 
 
 def read_qmatrix(path) -> QMatrix:
@@ -54,18 +49,55 @@ def _write_lines(path, lines) -> None:
         fh.write("\n")
 
 
-def _content_lines(path):
+def _content_lines(raw_lines):
     """Yield (line_no, stripped_text) skipping comments and blank lines."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            text = raw.rstrip("\n").rstrip("\r")
-            if not text.strip() or text.lstrip().startswith("#"):
-                continue
-            yield line_no, text
+    for line_no, raw in enumerate(raw_lines, start=1):
+        text = raw.rstrip("\n").rstrip("\r")
+        if not text.strip() or text.lstrip().startswith("#"):
+            continue
+        yield line_no, text
 
 
 def _read_body(path, magic, per_line):
-    lines = _content_lines(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    raw = text.split("\n")
+    return _regular_body(text, raw, magic, per_line) or _parse_lines(raw, magic, per_line)
+
+
+def _regular_body(text, raw, magic, per_line):
+    """(rows, cols, values) of a file laid out the way the writers lay it
+    out, parsed in bulk; None for anything else, which the line loop then
+    parses or rejects with a line number.
+
+    Regular means: the header on line 1, the dimensions on line 2, no
+    ``#`` anywhere, and exactly rows * cols further lines that np.loadtxt
+    reads as `per_line` columns.  loadtxt converts each field with the
+    same correctly rounded routine as float(), and refuses what float()
+    takes beyond it (underscores, non-ASCII digits), so every file this
+    accepts the loop accepts too, with bit-identical values.
+    """
+    if "#" in text or len(raw) < 3 or raw[0].split() != [magic, str(FORMAT_VERSION)]:
+        return None
+    dims = raw[1].split()
+    body = raw[2:-1] if raw[-1] == "" else raw[2:]
+    if len(dims) != 2:
+        return None
+    try:
+        rows, cols = int(dims[0]), int(dims[1])
+        # A first data line rules out an all-blank body, on which loadtxt warns.
+        if rows < 1 or cols < 1 or len(body) != rows * cols or not body[0].strip():
+            return None
+        values = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (rows * cols, per_line):
+        return None
+    return rows, cols, values.ravel()
+
+
+def _parse_lines(raw, magic, per_line):
+    lines = _content_lines(raw)
 
     line_no, header = _next_line(lines, "missing header")
     parts = header.split()
@@ -115,7 +147,7 @@ def _next_line(lines, missing_message):
 
 def matrix_file_kind(path) -> str:
     """Peek at the header magic of a matrix file ('QMAT' or 'RMAT')."""
-    name = os.fspath(path)
-    for _, text in _content_lines(name):
-        return text.split()[0]
+    with open(path, "r", encoding="utf-8") as fh:
+        for _, text in _content_lines(fh):
+            return text.split()[0]
     raise FormatError(0, "empty file")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadTarget, ShapeMismatch
-from .qmat import QMatrix, QVector, _conj, _hmatmul, _hscale
+from .qmat import QMatrix, QVector, _conj, _hmatmul, _hscale, _safe_norm
 from .quat import Quaternion
 
 EPS = 2.0 ** -52
@@ -42,7 +42,7 @@ class HouseholderReflector:
 
     @property
     def is_identity(self) -> bool:
-        return not np.any(self.u.data)
+        return not self.u.data.any()
 
     @property
     def z(self) -> Quaternion:
@@ -53,7 +53,8 @@ class HouseholderReflector:
         return len(self.u)
 
 
-def _check_target(a: QVector, v) -> np.ndarray:
+def _check_target(n: int, v) -> np.ndarray:
+    """`v` as a float64 array, checked to be a real unit vector of length n."""
     if isinstance(v, QVector):
         if np.any(v.data[:, 1:]):
             raise BadTarget("target vector must have exactly real entries")
@@ -61,9 +62,9 @@ def _check_target(a: QVector, v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
         raise BadTarget(f"target vector must be one-dimensional, got shape {v.shape}")
-    if len(v) != len(a):
-        raise ShapeMismatch(f"vector length {len(a)} does not match target length {len(v)}")
-    norm = float(np.linalg.norm(v))
+    if len(v) != n:
+        raise ShapeMismatch(f"vector length {n} does not match target length {len(v)}")
+    norm = math.sqrt(v.dot(v))
     if abs(norm - 1.0) > 1e-12:
         raise BadTarget(f"target vector must have unit norm, got {norm!r}")
     return v
@@ -72,6 +73,28 @@ def _check_target(a: QVector, v) -> np.ndarray:
 def _transpose_dot(a_data: np.ndarray, v: np.ndarray) -> np.ndarray:
     # sum_i a_i * v_i with real v_i; plain transpose, no conjugation.
     return a_data.T @ v
+
+
+def _reflector(a_data: np.ndarray, v: np.ndarray):
+    """``(u, zeta)`` as arrays for the left reflector of the (n, 4)
+    components `a_data` onto a checked target `v` (see left_householder)."""
+    alpha = _safe_norm(a_data.ravel())
+    if alpha == 0.0:
+        return np.zeros_like(a_data), np.array([1.0, 0.0, 0.0, 0.0])
+
+    t = _transpose_dot(a_data, v)
+    r = math.hypot(*t.tolist())
+    # Treat a denormal projection as zero so we never divide by it.
+    if r <= len(a_data) * EPS * alpha:
+        zeta4 = np.array([1.0, 0.0, 0.0, 0.0])
+        r = 0.0
+    else:
+        zeta4 = t / -r
+    mu = math.sqrt(alpha) * math.sqrt(alpha + r)  # no overflow of alpha**2
+    u = np.multiply.outer(v * alpha, zeta4)
+    np.subtract(a_data, u, out=u)
+    u /= mu
+    return u, zeta4
 
 
 def left_householder(a: QVector, v) -> HouseholderReflector:
@@ -83,22 +106,8 @@ def left_householder(a: QVector, v) -> HouseholderReflector:
     ``u = (a - zeta*v*alpha) / (sqrt(alpha) * sqrt(alpha + r))``.  A zero `a`
     yields the identity reflector (zero u, zeta = 1).
     """
-    v = _check_target(a, v)
-    alpha = a.norm()
-    if alpha == 0.0:
-        return HouseholderReflector(QVector.zeros(len(a)), Quaternion(1.0), Side.LEFT)
-
-    t = _transpose_dot(a.data, v)
-    r = math.hypot(*t)
-    # Treat a denormal projection as zero so we never divide by it.
-    if r <= len(a) * EPS * alpha:
-        zeta4 = np.array([1.0, 0.0, 0.0, 0.0])
-        r = 0.0
-    else:
-        zeta4 = -t / r
-    mu = math.sqrt(alpha) * math.sqrt(alpha + r)  # no overflow of alpha**2
-    u = (a.data - np.outer(v * alpha, zeta4)) / mu
-    return HouseholderReflector(QVector(u), Quaternion(*zeta4), Side.LEFT)
+    u, zeta4 = _reflector(a.data, _check_target(len(a), v))
+    return HouseholderReflector(QVector(u), Quaternion(*zeta4.tolist()), Side.LEFT)
 
 
 def right_householder(a_row: QVector, v) -> HouseholderReflector:
@@ -110,8 +119,9 @@ def right_householder(a_row: QVector, v) -> HouseholderReflector:
     is its conjugate transpose, which shares the same ``u`` and carries
     the conjugated scalar.
     """
-    left = left_householder(a_row.conjugate(), v)
-    return HouseholderReflector(left.u, left.zeta.conjugate(), Side.RIGHT)
+    u, zeta4 = _reflector(_conj(a_row.data), _check_target(len(a_row), v))
+    w, x, y, z = zeta4.tolist()
+    return HouseholderReflector(QVector(u), Quaternion(w, -x, -y, -z), Side.RIGHT)
 
 
 def right_householder_direct(a_row: QVector, v) -> HouseholderReflector:
@@ -123,7 +133,7 @@ def right_householder_direct(a_row: QVector, v) -> HouseholderReflector:
     ``u`` differs from the reduction path by a sign, so only the projector
     ``u @ conj(u).T`` (and hence the transformation) coincides.
     """
-    v = _check_target(a_row, v)
+    v = _check_target(len(a_row), v)
     alpha = a_row.norm()
     if alpha == 0.0:
         return HouseholderReflector(QVector.zeros(len(a_row)), Quaternion(1.0), Side.RIGHT)

@@ -8,9 +8,11 @@ non-commutative ordering explicit.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import NonFiniteInput, ShapeMismatch
 from .quat import Quaternion
 
 __all__ = ["QMatrix", "QVector", "RMatrix", "random_qmatrix"]
@@ -65,15 +67,24 @@ def _hscale(q, a, side):
     ], axis=-1)
 
 
+def _check_finite(a: QMatrix) -> None:
+    """Raise NonFiniteInput naming the first entry with a NaN or infinite
+    component."""
+    bad = ~np.isfinite(a.data).all(axis=-1)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise NonFiniteInput(f"entry ({i}, {j}) is not finite: {a.data[i, j].tolist()}")
+
+
 def _safe_norm(flat):
     # Scale by the largest component so squaring cannot overflow.
     if flat.size == 0:
         return 0.0
-    m = float(np.max(np.abs(flat)))
-    if m == 0.0 or not np.isfinite(m):
+    m = float(np.abs(flat).max())
+    if m == 0.0 or not math.isfinite(m):
         return m
     scaled = flat / m
-    return m * float(np.sqrt(np.dot(scaled, scaled)))
+    return m * math.sqrt(scaled.dot(scaled))
 
 
 # ---------------------------------------------------------------------------

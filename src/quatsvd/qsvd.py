@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bidiag import bidiagonalize, extract_band
-from .errors import GroupingFailure, NoConvergence, NonFiniteInput, ShapeMismatch
+from .errors import GroupingFailure, NoConvergence, ShapeMismatch
 from .oracle import adjoint_error_bound, adjoint_singular_values
-from .qmat import QMatrix, RMatrix
+from .qmat import QMatrix, RMatrix, _check_finite
 from .rsvd import BidiagonalBand, bidiag_svd
 
 __all__ = ["QsvdResult", "qsvd", "reconstruct", "verify", "CheckResult", "VerifyReport"]
@@ -34,13 +34,6 @@ class QsvdResult:
     u: QMatrix | None
     sigma: np.ndarray
     v: QMatrix | None
-
-
-def _check_finite(a: QMatrix) -> None:
-    bad = ~np.isfinite(a.data).all(axis=-1)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise NonFiniteInput(f"entry ({i}, {j}) is not finite: {a.data[i, j].tolist()}")
 
 
 def _exponent(data: np.ndarray) -> int:
@@ -63,7 +56,7 @@ def qsvd(a: QMatrix, want_vectors: bool = True, thin: bool = False) -> QsvdResul
 
     Returns square unitary factors U (r x r) and V (c x c) by default;
     ``thin=True`` keeps only the leading n = min(r, c) columns of each.
-    ``want_vectors=False`` skips all factor accumulation and returns
+    ``want_vectors=False`` skips forming the factors and returns
     sigma alone.  Raises NonFiniteInput, naming the first NaN or infinite
     entry, and NoConvergence if the real SVD fails.
     """

@@ -146,8 +146,12 @@ def reflector_bidiagonalize(a: QMatrix):
     return left, work.data[..., 0], right
 
 
-@pytest.mark.parametrize("shape", [(8, 8), (12, 5), (5, 12), (1, 9), (9, 1), (12, 12)])
-@pytest.mark.parametrize("rank", [None, 1, 3])
+# 15, 16, 17 and 33 cross the edges of the 16-reflector compact-WY panels
+# in which the factors are formed.
+@pytest.mark.parametrize("shape", [(8, 8), (12, 5), (5, 12), (1, 9), (9, 1), (12, 12),
+                                   (15, 15), (16, 16), (17, 17), (33, 33), (40, 17),
+                                   (17, 40), (40, 40)])
+@pytest.mark.parametrize("rank", [None, 1, 3, 5])
 def test_matches_reflector_api_reference(shape, rank):
     r, c = shape
     rng = np.random.default_rng(r * 100 + c + (rank or 0))
@@ -166,6 +170,67 @@ def test_matches_reflector_api_reference(shape, rank):
         n = max(r, c) if rank is None else rank
         assert np.abs(res.left.data[:n] - left.data[:n]).max() <= unit
         assert np.abs(res.right.data[:, :n] - right.data[:, :n]).max() <= unit
+
+
+def _block_diagonal_with_zero(rng):
+    """20 x 20 with a 7 x 7 block, a zero 1 x 1 block, then a 12 x 12 block:
+    both reflectors of step 7 and the right one of step 6 are identities,
+    inside the first compact-WY panel of 16 recorded reflectors."""
+    data = np.zeros((20, 20, 4))
+    data[:7, :7] = rng.standard_normal((7, 7, 4))
+    data[8:, 8:] = rng.standard_normal((12, 12, 4))
+    return QMatrix(data)
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (100, 30)])
+def test_formed_factors_are_unitary(shape):
+    r, c = shape
+    a = random_qmatrix(r, c, np.random.default_rng(r + c))
+    res = bidiagonalize(a)
+    unit = 64 * max(r, c) * EPS
+    assert unitary_error(res.left) <= unit
+    assert unitary_error(res.right) <= unit
+    assert recon_error(a, res) <= unit * a.frobenius_norm()
+
+
+def _count_reflections(monkeypatch):
+    calls = []
+    for name in ("_reflect_left", "_reflect_right"):
+        original = getattr(bidiag, name)
+
+        def counted(u, z4, block, name=name, original=original):
+            calls.append((name, block.shape))
+            return original(u, z4, block)
+        monkeypatch.setattr(bidiag, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("accumulate", [True, False])
+def test_each_reflector_is_applied_once_to_the_work_block(monkeypatch, accumulate):
+    calls = _count_reflections(monkeypatch)
+    r, c = 9, 6
+    bidiagonalize(random_qmatrix(r, c, np.random.default_rng(3)), accumulate=accumulate)
+    expect = []
+    for k in range(c):
+        expect.append(("_reflect_left", (r - k, 4, c - k)))
+        if k <= c - 2:
+            expect.append(("_reflect_right", (r - k, 4, c - 1 - k)))
+    assert calls == expect
+
+
+def test_identity_reflectors_inside_a_panel(monkeypatch):
+    calls = _count_reflections(monkeypatch)
+    a = _block_diagonal_with_zero(np.random.default_rng(8))
+    res = bidiagonalize(a)
+    names = [name for name, _ in calls]
+    # Steps 0..19 minus the identities at step 7 (left, right) and 6 (right).
+    assert names.count("_reflect_left") == 19
+    assert names.count("_reflect_right") == 19 - 2
+    left, band, right = reflector_bidiagonalize(a)
+    unit = 64 * 20 * EPS
+    assert np.abs(res.bidiagonal.data - band).max() <= unit * a.frobenius_norm()
+    assert np.abs(res.left.data - left.data).max() <= unit
+    assert np.abs(res.right.data - right.data).max() <= unit
 
 
 def test_reduction_avoids_interleaved_hamilton_kernels():

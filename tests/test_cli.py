@@ -255,6 +255,28 @@ def test_non_finite_input_exits_two(tmp_path, capsys):
         assert "(1, 0)" in captured.err and "not finite" in captured.err
 
 
+def test_non_finite_input_exits_two_in_every_command(tmp_path, capsys):
+    for name, bad in [("nan", np.nan), ("inf", -np.inf)]:
+        a = random_qmatrix(3, 2, np.random.default_rng(4))
+        a.data[2, 1, 3] = bad
+        src = tmp_path / f"{name}.qmat"
+        write_qmatrix(a, src)
+        eye = tmp_path / "eye.qmat"
+        write_qmatrix(QMatrix.identity(3), eye)
+        runs = {
+            "bidiag": ["bidiag", str(src), "--out-dir", str(tmp_path / f"{name}_b")],
+            "adjoint-svs": ["adjoint-svs", str(src)],
+            "check": ["check", str(src), "--u", str(eye), "--s", str(eye), "--v", str(eye)],
+        }
+        for command, argv in runs.items():
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2, command
+            assert "(2, 1)" in captured.err and "not finite" in captured.err, command
+        # Nothing is written for a rejected input.
+        assert not (tmp_path / f"{name}_b" / "B.rmat").exists()
+
+
 def test_unknown_command_exits_two(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quatsvd import formats
 from quatsvd.errors import FormatError
 from quatsvd.formats import (matrix_file_kind, read_qmatrix, read_rmatrix,
                              write_qmatrix, write_rmatrix)
@@ -111,3 +112,103 @@ def test_matrix_file_kind(tmp_path):
     write_rmatrix(RMatrix.identity(2), r)
     assert matrix_file_kind(q) == "QMAT"
     assert matrix_file_kind(r) == "RMAT"
+
+
+# --- bulk paths ---------------------------------------------------------------
+
+
+def _special_matrix():
+    """64 x 64 with -0.0, subnormals and the largest double among random
+    entries of every magnitude."""
+    rng = np.random.default_rng(11)
+    data = rng.standard_normal((64, 64, 4)) * 10.0 ** rng.integers(-300, 300, (64, 64, 4))
+    data.reshape(-1)[:8] = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                            1.7976931348623157e308, -1.7976931348623157e308, 1 / 3]
+    return QMatrix(data)
+
+
+def _per_entry_text(magic, shape, rows_of_values):
+    # The writers' layout, one repr(float) at a time.
+    lines = [f"{magic} 1", f"{shape[0]} {shape[1]}"]
+    lines += [" ".join(repr(float(v)) for v in row) for row in rows_of_values]
+    return "\n".join(lines) + "\n"
+
+
+def test_bulk_writers_match_per_entry_formatting(tmp_path):
+    m = _special_matrix()
+    write_qmatrix(m, tmp_path / "m.qmat")
+    assert (tmp_path / "m.qmat").read_text() == _per_entry_text(
+        "QMAT", m.shape, m.data.reshape(-1, 4))
+    r = RMatrix(m.data[..., 0])
+    write_rmatrix(r, tmp_path / "m.rmat")
+    assert (tmp_path / "m.rmat").read_text() == _per_entry_text(
+        "RMAT", r.shape, r.data.reshape(-1, 1))
+
+
+def test_bulk_and_line_readers_agree_bit_for_bit(tmp_path):
+    m = _special_matrix()
+    path = tmp_path / "m.qmat"
+    write_qmatrix(m, path)
+    text = path.read_text()
+    raw = text.split("\n")
+    bulk = formats._regular_body(text, raw, "QMAT", 4)
+    assert bulk is not None
+    rows, cols, values = formats._parse_lines(raw, "QMAT", 4)
+    assert bulk[:2] == (rows, cols) == (64, 64)
+    assert bulk[2].tobytes() == values.tobytes() == m.data.tobytes()
+    assert read_qmatrix(path).data.tobytes() == m.data.tobytes()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda lines: lines[:1000] + ["# a note mid-body"] + lines[1000:],
+    lambda lines: lines[:1000] + ["", "   "] + lines[1000:],
+    lambda lines: ["# leading comment"] + lines,
+    lambda lines: lines[:500] + [lines[500].replace(" ", "\t  ")] + lines[501:],
+    lambda lines: lines[:500] + [lines[500].replace("e", "E")] + lines[501:],
+])
+def test_irregular_but_valid_layouts_parse(tmp_path, edit):
+    m = _special_matrix()
+    path = tmp_path / "m.qmat"
+    write_qmatrix(m, path)
+    lines = path.read_text().split("\n")[:-1]
+    path.write_text("\n".join(edit(lines)) + "\n")
+    assert read_qmatrix(path).data.tobytes() == m.data.tobytes()
+
+
+def test_only_the_line_loop_takes_what_float_alone_accepts(tmp_path):
+    # float() reads "1_0" as 10; the bulk path must leave it to the loop.
+    path = tmp_path / "u.rmat"
+    path.write_text("RMAT 1\n1 2\n1_0\n2.5\n")
+    text = path.read_text()
+    assert formats._regular_body(text, text.split("\n"), "RMAT", 1) is None
+    assert list(read_rmatrix(path).data[0]) == [10.0, 2.5]
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda line: " ".join(line.split()[:3]), "expected 4 value(s) per line, got 3"),
+    (lambda line: line + " 7", "expected 4 value(s) per line, got 5"),
+    (lambda line: line.replace(line.split()[2], "x1"), "not a float: 'x1'"),
+])
+def test_error_deep_in_a_large_file_names_its_line(tmp_path, damage, message):
+    m = _special_matrix()
+    path = tmp_path / "m.qmat"
+    write_qmatrix(m, path)
+    lines = path.read_text().split("\n")
+    lines[3000] = damage(lines[3000])
+    path.write_text("\n".join(lines))
+    with pytest.raises(FormatError) as err:
+        read_qmatrix(path)
+    assert err.value.line_no == 3001
+    assert message in str(err.value)
+
+
+def test_truncated_large_file_reports_last_line(tmp_path):
+    m = _special_matrix()
+    path = tmp_path / "m.qmat"
+    write_qmatrix(m, path)
+    lines = path.read_text().split("\n")[:2 + 4000]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError) as err:
+        read_qmatrix(path)
+    assert err.value.line_no == 4002
+    assert "file ended after 4000" in str(err.value)
