@@ -4,10 +4,13 @@
 left one sends the trailing part of column k to ``alpha * e1`` (alpha a
 nonnegative real), the right one does the same to the trailing part of
 row k.  Every value the construction guarantees to vanish — entries
-below/right of the band and the vector parts of band entries — is then
-written as exact zero, with the discarded magnitude folded into a
-diagnostic, so the returned B is real and banded by construction rather
-than up to rounding noise.
+below/right of the band and the vector parts of band entries — is
+written as exact zero, with the largest discarded magnitude reported as
+``snap_residue``, so the returned B is real and banded by construction
+rather than up to rounding noise.  The snap happens once, after the
+loop: no later step reads a value it drops, since after step k the left
+reflectors act on rows and columns >= k+1 and the right ones on rows
+>= k+1 and columns >= k+2.
 
 The work runs on a planar (rows, 4, cols) copy: the four components of
 a row sit in four consecutive real rows, so any row-and-column block
@@ -20,9 +23,10 @@ xORGBR does, by applying panels of reflectors in compact-WY form
 the factors cost real gemms of panel width rather than one rank-4
 update per reflector.
 
-Tall-or-square input yields an upper bidiagonal B; a wide matrix is
-handled by reducing its conjugate transpose and transposing back, which
-gives a lower bidiagonal B.
+Tall-or-square input yields an upper bidiagonal B.  A wide matrix is
+reduced in the same pass, as LAPACK's xGEBRD does: the work copy holds
+A*, the factors formed for it swap roles, and the band is transposed,
+which gives a lower bidiagonal B.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 
 from .errors import NotBidiagonal
 from .householder import left_householder, right_householder
-from .qmat import QMatrix, QVector, RMatrix, _conj
+from .qmat import QMatrix, QVector, RMatrix, _conj, _q4
 from .quat import Quaternion
 
 __all__ = ["BidiagResult", "bidiagonalize", "check_bidiagonal", "extract_band"]
@@ -71,12 +75,6 @@ _TO_T = _MUL.reshape(16, 4)
 _FROM_T = _MUL.transpose(0, 2, 1).reshape(4, 16)
 
 
-def _unit_target(n: int) -> np.ndarray:
-    v = np.zeros(n)
-    v[0] = 1.0
-    return v
-
-
 def _reflect_left(u: np.ndarray, z4: np.ndarray, block: np.ndarray) -> None:
     """``block <- z (block - u (u* block))`` in place; `block` is planar
     (m, 4, n), so its (4m, n) reshape is a view and each contraction over
@@ -110,63 +108,63 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
     With ``accumulate=False`` the factors are skipped (returned as None)
     and only the band and the snap diagnostic are produced.
     """
-    r, c = a.shape
-    if c > r:
-        flipped = bidiagonalize(a.conj_transpose(), accumulate=accumulate)
-        return BidiagResult(
-            left=flipped.right.conj_transpose() if accumulate else None,
-            bidiagonal=RMatrix(flipped.bidiagonal.data.T.copy()),
-            right=flipped.left.conj_transpose() if accumulate else None,
-            upper=False,
-            snap_residue=flipped.snap_residue,
-        )
-
-    work = _planar(a)
+    wide = a.cols > a.rows
+    # Planar copy of A, or of A* when A is wide, so that rows >= cols.
+    if wide:
+        work = (a.data * _CONJ).transpose(1, 2, 0).copy()
+    else:
+        work = a.data.transpose(0, 2, 1).copy()
+    rows, _, cols = work.shape
+    e1 = np.zeros(rows)
+    e1[0] = 1.0
     # (offset, u, s) of every non-identity reflector, in order, for the
     # factors: L* and R are both products of (I - u u*) S, where S
     # left-multiplies the rows from `offset` on by s (see _form_factor).
     lrefl, rrefl = [], []
-    residue = 0.0
 
-    for k in range(c):
-        h = left_householder(QVector(work[k:, :, k]), _unit_target(r - k))
+    for k in range(cols):
+        h = left_householder(QVector(work[k:, :, k]), e1[:rows - k])
         if not h.is_identity:
             _reflect_left(h.u.data, _q4(h.z), work[k:, :, k:])
             lrefl.append((k, h.u.data, h.zeta))
-
-        # The reflector sent this column to a real multiple of e1; anything
-        # left over is rounding noise.  Measure it, then zero it.
-        residue = max(residue, float(np.linalg.norm(work[k, 1:, k])),
-                      _max_entry_norm(work[k + 1:, :, k]))
-        work[k, 1:, k] = 0.0
-        work[k + 1:, :, k] = 0.0
-
-        if k <= c - 2:
-            g = right_householder(QVector(work[k, :, k + 1:].T), _unit_target(c - 1 - k))
+        if k <= cols - 2:
+            g = right_householder(QVector(work[k, :, k + 1:].T), e1[:cols - 1 - k])
             if not g.is_identity:
                 _reflect_right(g.u.data, _q4(g.z), work[k:, :, k + 1:])
                 rrefl.append((k + 1, g.u.data, g.z))
 
-            residue = max(residue, float(np.linalg.norm(work[k, 1:, k + 1])),
-                          _max_entry_norm(work[k, :, k + 2:].T))
-            work[k, 1:, k + 1] = 0.0
-            work[k, :, k + 2:] = 0.0
-
+    band, residue = _snap_band(work)
     left = right = None
     if accumulate:
-        left = QMatrix(_form_factor(r, lrefl).transpose(2, 0, 1) * _CONJ)
-        right = QMatrix(_form_factor(c, rrefl).transpose(0, 2, 1))
+        lfac, rfac = _form_factor(rows, lrefl), _form_factor(cols, rrefl)
+        if wide:
+            # L A* R = B' gives R* A L* = B'.T.
+            lfac, rfac = rfac, lfac
+        left = QMatrix(lfac.transpose(2, 0, 1) * _CONJ)
+        right = QMatrix(rfac.transpose(0, 2, 1))
     return BidiagResult(
         left=left,
-        bidiagonal=RMatrix(work[:, 0, :]),
+        bidiagonal=RMatrix(band.T if wide else band),
         right=right,
-        upper=True,
+        upper=not wide,
         snap_residue=residue,
     )
 
 
-def _q4(q) -> np.ndarray:
-    return np.array((q.w, q.x, q.y, q.z))
+def _snap_band(work: np.ndarray) -> tuple[np.ndarray, float]:
+    """The real upper band of a reduced planar (rows, 4, cols) work array,
+    rows >= cols, with every other value written as exact zero, and the
+    largest magnitude so dropped: the norm of an entry outside the band
+    or of the vector part of a band entry."""
+    rows, _, cols = work.shape
+    in_band = np.eye(rows, cols, dtype=bool) | np.eye(rows, cols, 1, dtype=bool)
+    outside = np.linalg.norm(work.transpose(0, 2, 1), axis=-1)[~in_band]
+    i, j = np.nonzero(in_band)
+    vec = work[i, 1:, j]
+    # One dot per entry, the sum np.linalg.norm takes of a single vector.
+    vec_sq = np.matmul(vec[:, np.newaxis, :], vec[:, :, np.newaxis])
+    residue = max(float(outside.max(initial=0.0)), float(np.sqrt(vec_sq.max())))
+    return np.where(in_band, work[:, 0, :], 0.0), residue
 
 
 # Reflectors per compact-WY panel.  Forming 128 x 128 and 256 x 256 factors,
@@ -243,16 +241,6 @@ def _wy_t(vmat: np.ndarray, width: int) -> np.ndarray:
         t[:s, s:s + 4] = -t[:s, :s] @ upper[:s, s:s + 4]
     # Back to (component, column) order.
     return t.reshape(width, 4, width, 4).transpose(1, 0, 3, 2).reshape(4 * width, 4 * width)
-
-
-def _planar(a: QMatrix) -> np.ndarray:
-    return a.data.transpose(0, 2, 1).copy()
-
-
-def _max_entry_norm(block: np.ndarray) -> float:
-    if block.size == 0:
-        return 0.0
-    return float(np.linalg.norm(block, axis=-1).max())
 
 
 def check_bidiagonal(b: RMatrix, upper: bool, tol: float = 0.0) -> bool:

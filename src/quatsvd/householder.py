@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadTarget, ShapeMismatch
-from .qmat import QMatrix, QVector, _conj, _hmatmul, _hscale, _safe_norm
+from .qmat import QMatrix, QVector, _conj, _hmatmul, _hscale, _q4, _safe_norm
 from .quat import Quaternion
 
 EPS = 2.0 ** -52
@@ -165,11 +165,6 @@ def _apply_right_block(u_data, z4, block):
     return _hscale(z4, out, "right")
 
 
-def _z4(h: HouseholderReflector):
-    z = h.z
-    return (z.w, z.x, z.y, z.z)
-
-
 def apply_left(h: HouseholderReflector, target):
     """Apply the reflector from the left without forming the matrix.
 
@@ -184,7 +179,7 @@ def apply_left(h: HouseholderReflector, target):
         raise ShapeMismatch(f"reflector length {len(h)} does not match {target.rows} rows")
     if h.is_identity:
         return target.copy()
-    return QMatrix(_apply_left_block(h.u.data, _z4(h), target.data))
+    return QMatrix(_apply_left_block(h.u.data, _q4(h.z), target.data))
 
 
 def apply_right(h: HouseholderReflector, target):
@@ -198,7 +193,7 @@ def apply_right(h: HouseholderReflector, target):
         raise ShapeMismatch(f"reflector length {len(h)} does not match {target.cols} columns")
     if h.is_identity:
         return target.copy()
-    return QMatrix(_apply_right_block(h.u.data, _z4(h), target.data))
+    return QMatrix(_apply_right_block(h.u.data, _q4(h.z), target.data))
 
 
 def form_matrix(h: HouseholderReflector) -> QMatrix:

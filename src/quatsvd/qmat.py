@@ -36,35 +36,32 @@ def _conj(a):
     return out
 
 
-def _hmatmul(a, b):
-    """Hamilton product of component arrays (r, m, 4) @ (m, c, 4)."""
+def _hproduct(a, b, mul):
+    """Hamilton product of component arrays, with `mul` the product of
+    their real components (np.matmul or np.multiply)."""
     aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
     return np.stack([
-        aw @ bw - ax @ bx - ay @ by - az @ bz,
-        aw @ bx + ax @ bw + ay @ bz - az @ by,
-        aw @ by - ax @ bz + ay @ bw + az @ bx,
-        aw @ bz + ax @ by - ay @ bx + az @ bw,
+        mul(aw, bw) - mul(ax, bx) - mul(ay, by) - mul(az, bz),
+        mul(aw, bx) + mul(ax, bw) + mul(ay, bz) - mul(az, by),
+        mul(aw, by) - mul(ax, bz) + mul(ay, bw) + mul(az, bx),
+        mul(aw, bz) + mul(ax, by) - mul(ay, bx) + mul(az, bw),
     ], axis=-1)
+
+
+def _hmatmul(a, b):
+    """Hamilton product of component arrays (r, m, 4) @ (m, c, 4)."""
+    return _hproduct(a, b, np.matmul)
 
 
 def _hscale(q, a, side):
-    """Multiply every entry of `a` by the quaternion 4-tuple `q` on one side."""
-    qw, qx, qy, qz = q
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    if side == "left":
-        return np.stack([
-            qw * aw - qx * ax - qy * ay - qz * az,
-            qw * ax + qx * aw + qy * az - qz * ay,
-            qw * ay - qx * az + qy * aw + qz * ax,
-            qw * az + qx * ay - qy * ax + qz * aw,
-        ], axis=-1)
-    return np.stack([
-        aw * qw - ax * qx - ay * qy - az * qz,
-        aw * qx + ax * qw + ay * qz - az * qy,
-        aw * qy - ax * qz + ay * qw + az * qx,
-        aw * qz + ax * qy - ay * qx + az * qw,
-    ], axis=-1)
+    """Multiply every entry of `a` by the quaternion components `q`, a
+    (4,) array, on one side."""
+    return _hproduct(q, a, np.multiply) if side == "left" else _hproduct(a, q, np.multiply)
+
+
+def _q4(q: Quaternion) -> np.ndarray:
+    return np.array((q.w, q.x, q.y, q.z))
 
 
 def _check_finite(a: QMatrix) -> None:
@@ -231,33 +228,13 @@ class QMatrix:
         return QMatrix(self.data - other.data)
 
     def scale_left(self, q: Quaternion) -> QMatrix:
-        return QMatrix(_hscale((q.w, q.x, q.y, q.z), self.data, "left"))
+        return QMatrix(_hscale(_q4(q), self.data, "left"))
 
     def scale_right(self, q: Quaternion) -> QMatrix:
-        return QMatrix(_hscale((q.w, q.x, q.y, q.z), self.data, "right"))
+        return QMatrix(_hscale(_q4(q), self.data, "right"))
 
     def frobenius_norm(self) -> float:
         return _safe_norm(self.data.ravel())
-
-    def max_abs_vector_part(self) -> float:
-        """Largest magnitude of any imaginary component; 0 for a real matrix."""
-        if self.data.size == 0:
-            return 0.0
-        return float(np.max(np.abs(self.data[..., 1:])))
-
-    def real_part(self) -> RMatrix:
-        return RMatrix(self.data[..., 0].copy())
-
-    def is_unitary(self, tol: float) -> bool:
-        """Whether both ``conj_transpose(A) @ A`` and ``A @ conj_transpose(A)``
-        are within `tol` of the identity in Frobenius norm."""
-        if self.rows != self.cols:
-            raise ShapeMismatch("unitarity is defined for square matrices only")
-        ct = self.conj_transpose()
-        eye = QMatrix.identity(self.rows)
-        left = (ct @ self) - eye
-        right = (self @ ct) - eye
-        return left.frobenius_norm() <= tol and right.frobenius_norm() <= tol
 
     def copy(self) -> QMatrix:
         return QMatrix(self.data.copy())

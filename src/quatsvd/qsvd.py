@@ -74,7 +74,10 @@ def qsvd(a: QMatrix, want_vectors: bool = True, thin: bool = False) -> QsvdResul
     # B is lower bidiagonal when A is wide: the band was transposed on the
     # way in, so the roles of the real factors swap on the way out.
     w, x = (core.w.data, core.x.data) if bd.upper else (core.x.data, core.w.data)
-    u = _lift(bd.left.conj_transpose().data, w, n if thin else r)
+    # U = conj(L).T W: lift from the plain transpose of L and conjugate the
+    # product, which commutes with the real W.
+    u = _lift(bd.left.data.swapaxes(0, 1), w, n if thin else r)
+    np.negative(u.data[..., 1:], out=u.data[..., 1:])
     v = _lift(bd.right.data, x, n if thin else c)
     return QsvdResult(u=u, sigma=sigma, v=v)
 

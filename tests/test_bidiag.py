@@ -289,6 +289,88 @@ def test_wide_matrix_gives_lower_band():
     assert recon_error(a, res) <= 1e-12 * 5 * a.frobenius_norm()
 
 
+@pytest.mark.parametrize("shape", [(2, 5), (5, 12), (17, 40), (1, 9)])
+@pytest.mark.parametrize("rank", [None, 1])
+@pytest.mark.parametrize("accumulate", [True, False])
+def test_wide_is_the_transposed_reduction_of_the_adjoint(shape, rank, accumulate):
+    r, c = shape
+    rng = np.random.default_rng(r * 100 + c)
+    a = random_qmatrix(r, c, rng) if rank is None else \
+        random_qmatrix(r, rank, rng) @ random_qmatrix(rank, c, rng)
+    wide = bidiagonalize(a, accumulate=accumulate)
+    tall = bidiagonalize(a.conj_transpose(), accumulate=accumulate)
+    assert not wide.upper and tall.upper
+    assert np.array_equal(wide.bidiagonal.data, tall.bidiagonal.data.T)
+    assert wide.snap_residue == tall.snap_residue
+    if accumulate:
+        assert np.array_equal(wide.left.data, tall.right.conj_transpose().data)
+        assert np.array_equal(wide.right.data, tall.left.conj_transpose().data)
+    else:
+        assert wide.left is None and wide.right is None
+
+
+# (shape, out-of-band entry to plant or None); 3-4-5 norms are exact.
+@pytest.mark.parametrize("shape, outside", [((7, 4), (6, 1)), ((7, 4), (1, 3)),
+                                            ((5, 5), (0, 4)), ((6, 1), (5, 0)),
+                                            ((1, 1), None)])
+@pytest.mark.parametrize("outside_scale", [2.0 ** -48, 2.0 ** -56])
+def test_snap_band_drops_exactly_the_planted_noise(shape, outside, outside_scale):
+    rows, cols = shape
+    rng = np.random.default_rng(rows * 10 + cols)
+    band = np.zeros((rows, cols))
+    k = np.arange(cols)
+    band[k, k] = rng.standard_normal(cols)
+    band[k[:-1], k[:-1] + 1] = rng.standard_normal(cols - 1)
+    work = np.zeros((rows, 4, cols))
+    work[:, 0, :] = band
+    # Vector part of norm 5 * 2**-52 on the last diagonal entry.
+    work[cols - 1, 2:, cols - 1] = [3 * 2.0 ** -52, 4 * 2.0 ** -52]
+    expect = 5 * 2.0 ** -52
+    if outside is not None:
+        work[outside[0], [0, 2], outside[1]] = [3 * outside_scale, 4 * outside_scale]
+        expect = max(expect, 5 * outside_scale)
+    got, residue = bidiag._snap_band(work)
+    assert residue == expect
+    assert np.array_equal(got, band)
+
+
+def _snap_per_column(work):
+    """Reference: the snap done column by column inside the reduction
+    loop, as (band, residue) of a planar (rows, 4, cols) array."""
+    work = work.copy()
+    rows, _, cols = work.shape
+    residue = 0.0
+    for k in range(cols):
+        below = work[k + 1:, :, k]
+        residue = max(residue, float(np.linalg.norm(work[k, 1:, k])),
+                      float(np.linalg.norm(below, axis=-1).max()) if below.size else 0.0)
+        work[k, 1:, k] = 0.0
+        work[k + 1:, :, k] = 0.0
+        if k <= cols - 2:
+            right = work[k, :, k + 2:].T
+            residue = max(residue, float(np.linalg.norm(work[k, 1:, k + 1])),
+                          float(np.linalg.norm(right, axis=-1).max()) if right.size else 0.0)
+            work[k, 1:, k + 1] = 0.0
+            work[k, :, k + 2:] = 0.0
+    return work[:, 0, :], residue
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (6, 1), (2, 2), (9, 9), (40, 17), (64, 64)])
+def test_snap_band_matches_the_per_column_snap(shape):
+    rows, cols = shape
+    rng = np.random.default_rng(rows * 100 + cols)
+    in_band = np.eye(rows, cols, dtype=bool) | np.eye(rows, cols, 1, dtype=bool)
+    for rep in range(40):
+        work = rng.standard_normal((rows, 4, cols)) * 10.0 ** rng.uniform(-18, 3, (rows, 4, cols))
+        if rep % 2:
+            # Let the band's vector parts hold the largest dropped value.
+            work.transpose(0, 2, 1)[~in_band] *= 1e-20
+        band, residue = bidiag._snap_band(work)
+        ref_band, ref_residue = _snap_per_column(work)
+        assert residue == ref_residue
+        assert np.array_equal(band, ref_band)
+
+
 # --- band predicates ----------------------------------------------------------
 
 
