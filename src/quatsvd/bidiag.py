@@ -37,8 +37,7 @@ import numpy as np
 
 from .errors import NotBidiagonal
 from .householder import left_householder, right_householder
-from .qmat import QMatrix, QVector, RMatrix, _conj, _q4
-from .quat import Quaternion
+from .qmat import QMatrix, QVector, RMatrix, _q4
 
 __all__ = ["BidiagResult", "bidiagonalize", "check_bidiagonal", "extract_band"]
 
@@ -58,21 +57,22 @@ class BidiagResult:
 _IDX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
 _SIGN_L = np.array([[1, -1, -1, -1], [1, 1, -1, 1], [1, 1, 1, -1], [1, -1, 1, 1]], dtype=float)
 _SIGN_R = np.array([[1, -1, -1, -1], [1, 1, 1, -1], [1, -1, 1, 1], [1, 1, -1, 1]], dtype=float)
+# The same as (16, 4) maps from the components of q to the entries of its
+# matrix, so that real forms are one matmul (adding exact zeros), not a gather.
+_LMAT_OF = (np.eye(4)[_IDX] * _SIGN_L[..., np.newaxis]).reshape(16, 4)
+_RMAT_OF = (np.eye(4)[_IDX] * _SIGN_R[..., np.newaxis]).reshape(16, 4)
+# Structure constants for the right apply: _TO_T[(k, p), l] is the
+# coefficient of e_l in e_k e_p, contracting x[k] y[p] to the product x * y.
+_TO_T = _LMAT_OF.reshape(4, 4, 4).transpose(2, 1, 0).reshape(16, 4)
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def _lmat(q: np.ndarray) -> np.ndarray:
-    return q[..., _IDX] * _SIGN_L
+    return (q @ _LMAT_OF.T).reshape(q.shape[:-1] + (4, 4))
 
 
 def _rmat(q: np.ndarray) -> np.ndarray:
-    return q[..., _IDX] * _SIGN_R
-
-
-# Structure constants e_k e_p = sum_l _MUL[k, p, l] e_l, regrouped for the
-# right apply: _TO_T contracts (k, p) -> l, _FROM_T expands l -> (k, p).
-_MUL = _lmat(np.eye(4)).transpose(0, 2, 1)
-_TO_T = _MUL.reshape(16, 4)
-_FROM_T = _MUL.transpose(0, 2, 1).reshape(4, 16)
+    return (q @ _RMAT_OF.T).reshape(q.shape[:-1] + (4, 4))
 
 
 def _reflect_left(u: np.ndarray, z4: np.ndarray, block: np.ndarray) -> None:
@@ -90,16 +90,14 @@ def _reflect_left(u: np.ndarray, z4: np.ndarray, block: np.ndarray) -> None:
 def _reflect_right(u: np.ndarray, z4: np.ndarray, block: np.ndarray) -> None:
     """``block <- (block - (block u) u*) z`` in place on a planar (m, 4, n)
     block: t = block u is one gemm over the columns followed by a 16 -> 4
-    contraction with the structure constants, and the rank-4 update is
-    one gemm against conj(u).T."""
+    contraction with the structure constants, and the rank-4 update
+    ``t conj(u).T`` is one gemm of the 4m x 4 real form of t against
+    ``(u * _CONJ).T``."""
     m, _, n = block.shape
     flat = block.reshape(4 * m, n)
     t = (flat @ u).reshape(m, 16) @ _TO_T
-    flat -= (t @ _FROM_T).reshape(4 * m, 4) @ _conj(u).T
+    flat -= _lmat(t).reshape(4 * m, 4) @ (u * _CONJ).T
     block[...] = np.matmul(_rmat(z4), block)
-
-
-_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
@@ -119,19 +117,21 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
     e1[0] = 1.0
     # (offset, u, s) of every non-identity reflector, in order, for the
     # factors: L* and R are both products of (I - u u*) S, where S
-    # left-multiplies the rows from `offset` on by s (see _form_factor).
+    # left-multiplies the rows from `offset` on by s, a (4,) array.
     lrefl, rrefl = [], []
 
     for k in range(cols):
         h = left_householder(QVector(work[k:, :, k]), e1[:rows - k])
         if not h.is_identity:
-            _reflect_left(h.u.data, _q4(h.z), work[k:, :, k:])
-            lrefl.append((k, h.u.data, h.zeta))
+            zeta = _q4(h.zeta)
+            _reflect_left(h.u.data, zeta * _CONJ, work[k:, :, k:])
+            lrefl.append((k, h.u.data, zeta))
         if k <= cols - 2:
             g = right_householder(QVector(work[k, :, k + 1:].T), e1[:cols - 1 - k])
             if not g.is_identity:
-                _reflect_right(g.u.data, _q4(g.z), work[k:, :, k + 1:])
-                rrefl.append((k + 1, g.u.data, g.z))
+                z = _q4(g.zeta) * _CONJ
+                _reflect_right(g.u.data, z, work[k:, :, k + 1:])
+                rrefl.append((k + 1, g.u.data, z))
 
     band, residue = _snap_band(work)
     left = right = None
@@ -158,13 +158,18 @@ def _snap_band(work: np.ndarray) -> tuple[np.ndarray, float]:
     or of the vector part of a band entry."""
     rows, _, cols = work.shape
     in_band = np.eye(rows, cols, dtype=bool) | np.eye(rows, cols, 1, dtype=bool)
-    outside = np.linalg.norm(work.transpose(0, 2, 1), axis=-1)[~in_band]
+    # Norms of a copy scaled by a power of two that brings the largest value
+    # near 1: no square overflows, and only the squares of values below
+    # 2**-511 of it underflow.  The maximum is scaled back.
+    exponent = int(np.frexp(np.abs(work).max())[1])
+    scaled = np.ldexp(work, -exponent)
+    outside = np.linalg.norm(scaled.transpose(0, 2, 1), axis=-1)[~in_band]
     i, j = np.nonzero(in_band)
-    vec = work[i, 1:, j]
+    vec = scaled[i, 1:, j]
     # One dot per entry, the sum np.linalg.norm takes of a single vector.
     vec_sq = np.matmul(vec[:, np.newaxis, :], vec[:, :, np.newaxis])
     residue = max(float(outside.max(initial=0.0)), float(np.sqrt(vec_sq.max())))
-    return np.where(in_band, work[:, 0, :], 0.0), residue
+    return np.where(in_band, work[:, 0, :], 0.0), float(np.ldexp(residue, exponent))
 
 
 # Reflectors per compact-WY panel.  Forming 128 x 128 and 256 x 256 factors,
@@ -172,36 +177,33 @@ def _snap_band(work: np.ndarray) -> tuple[np.ndarray, float]:
 # slower: wider panels spend more on T and the zero triangle of V,
 # narrower ones on per-panel overhead and gemms of width 4 * nb.
 _NB = 16
-# _lmat as a (16, 4) map from the components of q to the entries of its
-# 4x4 matrix, so that real forms are built by a matmul, not a fancy index.
-_LMAT_OF = _lmat(np.eye(4)).transpose(1, 2, 0).reshape(16, 4)
 
 
 def _form_factor(m: int, reflectors) -> np.ndarray:
     """Planar (m, 4, m) product of ``(I - u_k u_k*) S_k`` over the
     recorded ``(offset, u_k, s_k)``, k ascending, S_k left-multiplying the
-    rows from the offset on by the unit quaternion s_k.
+    rows from the offset on by the unit quaternion s_k, a (4,) array.
 
     Offsets ascend, so u_k lies inside the rows of every earlier S_j, and
     for those ``S (I - u u*) = (I - (s u)(s u)*) S``.  Pushing every
     scalar to the right leaves ``prod (I - v_k v_k*) D`` with
-    ``v_k = c_k u_k``, ``c_k = s_0 ... s_(k-1)``, and D diagonal: the rows
-    from offset k up to offset k+1 carry c_(k+1).  Panels of _NB
+    ``v_k = c_k u_k``, ``c_k = s_0 ... s_(k-1)`` (each product taken in
+    real form, ``_lmat(c) @ s``), and D diagonal: the rows from offset k
+    up to offset k+1 carry c_(k+1).  Panels of _NB
     reflectors are then applied backward to D as ``I - V T V*`` in real
     form on the planar view.  Each panel touches only the trailing
     ``[o:, o:]`` block, o its first offset: everything applied so far acts
     on rows and columns from the next panel's offset on, and D is diagonal.
     """
     diag = np.empty((m, 4))
-    scalars = []
-    cum = Quaternion(1.0)
+    scalars = np.empty((len(reflectors), 4))
+    cum = np.array([1.0, 0.0, 0.0, 0.0])
     row = 0
-    for offset, _, s in reflectors:
-        scalars.append(_q4(cum))
-        diag[row:offset] = scalars[-1]
-        cum = cum * s
+    for k, (offset, _, s) in enumerate(reflectors):
+        scalars[k] = diag[row:offset] = cum
+        cum = _lmat(cum) @ s
         row = offset
-    diag[row:] = _q4(cum)
+    diag[row:] = cum
     out = np.zeros((m, 4, m))
     out[np.arange(m), :, np.arange(m)] = diag
 
@@ -212,7 +214,7 @@ def _form_factor(m: int, reflectors) -> np.ndarray:
         vt = np.zeros((width, 4, m - o))
         for j, (offset, u, _) in enumerate(panel):
             vt[j, :, offset - o:] = u.T
-        vt = np.matmul(_lmat(np.array(scalars[p:p + _NB])), vt)
+        vt = np.matmul(_lmat(scalars[p:p + _NB]), vt)
         # Real form V, columns ordered (component k, reflector j).
         vp = np.ascontiguousarray(vt.transpose(2, 1, 0))
         vmat = np.matmul(_LMAT_OF, vp).reshape(4 * (m - o), 4 * width)

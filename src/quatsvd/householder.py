@@ -70,11 +70,6 @@ def _check_target(n: int, v) -> np.ndarray:
     return v
 
 
-def _transpose_dot(a_data: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # sum_i a_i * v_i with real v_i; plain transpose, no conjugation.
-    return a_data.T @ v
-
-
 def _reflector(a_data: np.ndarray, v: np.ndarray):
     """``(u, zeta)`` as arrays for the left reflector of the (n, 4)
     components `a_data` onto a checked target `v` (see left_householder)."""
@@ -82,7 +77,7 @@ def _reflector(a_data: np.ndarray, v: np.ndarray):
     if alpha == 0.0:
         return np.zeros_like(a_data), np.array([1.0, 0.0, 0.0, 0.0])
 
-    t = _transpose_dot(a_data, v)
+    t = a_data.T @ v  # sum_i a_i v_i for real v_i, no conjugation
     r = math.hypot(*t.tolist())
     # Treat a denormal projection as zero so we never divide by it.
     if r <= len(a_data) * EPS * alpha:
@@ -138,7 +133,7 @@ def right_householder_direct(a_row: QVector, v) -> HouseholderReflector:
     if alpha == 0.0:
         return HouseholderReflector(QVector.zeros(len(a_row)), Quaternion(1.0), Side.RIGHT)
 
-    t = _transpose_dot(a_row.data, v)
+    t = a_row.data.T @ v
     r = math.hypot(*t)
     if r <= len(a_row) * EPS * alpha:
         zeta4 = np.array([1.0, 0.0, 0.0, 0.0])

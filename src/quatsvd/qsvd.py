@@ -22,7 +22,7 @@ import numpy as np
 from .bidiag import bidiagonalize, extract_band
 from .errors import GroupingFailure, NoConvergence, ShapeMismatch
 from .oracle import adjoint_error_bound, adjoint_singular_values
-from .qmat import QMatrix, RMatrix, _check_finite
+from .qmat import QMatrix, _check_finite
 from .rsvd import BidiagonalBand, bidiag_svd
 
 __all__ = ["QsvdResult", "qsvd", "reconstruct", "verify", "CheckResult", "VerifyReport"]
@@ -41,28 +41,25 @@ def _exponent(data: np.ndarray) -> int:
     return int(np.frexp(np.abs(data).max())[1]) if data.size else 0
 
 
-def _lift(q: np.ndarray, core: np.ndarray, cols: int) -> QMatrix:
-    """First `cols` columns of ``q @ diag(core, I)`` for a quaternion
-    component array q and a real n x n core: one real gemm per component
-    on the leading n columns, the rest copied."""
+def _lift(q: np.ndarray, core: np.ndarray) -> QMatrix:
+    """``q @ diag(core, I)`` for a quaternion component array q and a real
+    n x n core: one real gemm per component on the leading n columns, the
+    rest copied."""
     n = core.shape[0]
-    out = q[:, :cols, :].copy()
+    out = q.copy()
     out[:, :n, :] = np.matmul(q[:, :n, :].transpose(2, 0, 1), core).transpose(1, 2, 0)
     return QMatrix(out)
 
 
-def qsvd(a: QMatrix, want_vectors: bool = True, thin: bool = False) -> QsvdResult:
+def qsvd(a: QMatrix, want_vectors: bool = True) -> QsvdResult:
     """SVD of an arbitrary quaternion matrix.
 
-    Returns square unitary factors U (r x r) and V (c x c) by default;
-    ``thin=True`` keeps only the leading n = min(r, c) columns of each.
+    Returns square unitary factors U (r x r) and V (c x c);
     ``want_vectors=False`` skips forming the factors and returns
     sigma alone.  Raises NonFiniteInput, naming the first NaN or infinite
     entry, and NoConvergence if the real SVD fails.
     """
     _check_finite(a)
-    r, c = a.shape
-    n = min(r, c)
     exponent = _exponent(a.data)
     bd = bidiagonalize(QMatrix(np.ldexp(a.data, -exponent)), accumulate=want_vectors)
     d, e = extract_band(bd.bidiagonal, lower=not bd.upper)
@@ -76,15 +73,15 @@ def qsvd(a: QMatrix, want_vectors: bool = True, thin: bool = False) -> QsvdResul
     w, x = (core.w.data, core.x.data) if bd.upper else (core.x.data, core.w.data)
     # U = conj(L).T W: lift from the plain transpose of L and conjugate the
     # product, which commutes with the real W.
-    u = _lift(bd.left.data.swapaxes(0, 1), w, n if thin else r)
+    u = _lift(bd.left.data.swapaxes(0, 1), w)
     np.negative(u.data[..., 1:], out=u.data[..., 1:])
-    v = _lift(bd.right.data, x, n if thin else c)
+    v = _lift(bd.right.data, x)
     return QsvdResult(u=u, sigma=sigma, v=v)
 
 
 def reconstruct(res: QsvdResult, r: int, c: int) -> QMatrix:
-    """``U @ Sigma_{r x c} @ conj(V).T`` for full factors, or the thin
-    equivalent when the factors were sliced."""
+    """``U @ Sigma_{r x c} @ conj(V).T``, formed as ``(U[:, :n] diag(sigma))
+    @ conj(V[:, :n]).T``, n = min(r, c), so full and sliced factors alike."""
     if res.u is None or res.v is None:
         raise ShapeMismatch("result has no singular vectors to reconstruct from")
     if res.u.rows != r or res.v.rows != c:
@@ -94,9 +91,8 @@ def reconstruct(res: QsvdResult, r: int, c: int) -> QMatrix:
     n = len(res.sigma)
     if n != min(r, c) or res.u.cols < n or res.v.cols < n:
         raise ShapeMismatch("sigma length is inconsistent with the factor shapes")
-    sig = np.zeros((res.u.cols, res.v.cols))
-    sig[:n, :n] = np.diag(res.sigma)
-    return res.u @ RMatrix(sig) @ res.v.conj_transpose()
+    us = QMatrix(res.u.data[:, :n] * np.asarray(res.sigma)[:, np.newaxis])
+    return us @ QMatrix(res.v.data[:, :n]).conj_transpose()
 
 
 @dataclass(frozen=True)

