@@ -16,10 +16,13 @@ The work runs on a planar (rows, 4, cols) copy: the four components of
 a row sit in four consecutive real rows, so any row-and-column block
 reshapes without a copy to a (4 * rows, cols) real matrix.  Each
 reflector is applied once, to the work block, as two real gemms against
-the real form of u and a 4x4 mix for the unit scalar z.  The loop only
-records the reflectors; L and R are formed after it, the way LAPACK's
-xORGBR does, by applying panels of reflectors in compact-WY form
-``I - V T V*`` (Schreiber & Van Loan 1989) backward to a diagonal, so
+the real form of u; its unit scalar, which makes the pivot real, then
+multiplies the pivot row (left) or column (right) only.  D (I - u u*),
+D the identity but for the scalar on the pivot, is unitary and maps the
+column onto a real alpha * e1, as LAPACK's xLARFG makes beta real
+through a complex tau.  The loop only records the reflectors; L and R are formed after it, the way LAPACK's xORGBR does,
+by applying panels of reflectors in compact-WY form ``I - V T V*``
+(Schreiber & Van Loan 1989) backward to the diagonal of the scalars, so
 the factors cost real gemms of panel width rather than one rank-4
 update per reflector.
 
@@ -37,7 +40,7 @@ import numpy as np
 
 from .errors import NotBidiagonal
 from .householder import left_householder, right_householder
-from .qmat import QMatrix, QVector, RMatrix, _q4
+from .qmat import QMatrix, QVector, RMatrix, _check_finite, _q4
 
 __all__ = ["BidiagResult", "bidiagonalize", "check_bidiagonal", "extract_band"]
 
@@ -76,19 +79,21 @@ def _rmat(q: np.ndarray) -> np.ndarray:
 
 
 def _reflect_left(u: np.ndarray, z4: np.ndarray, block: np.ndarray) -> None:
-    """``block <- z (block - u (u* block))`` in place; `block` is planar
-    (m, 4, n), so its (4m, n) reshape is a view and each contraction over
-    the m quaternion rows is one real gemm against the 4m x 4 real form
-    N of u (the real form of conj(u).T is N.T)."""
+    """``block <- block - u (u* block)``, then the pivot row
+    ``block[0] <- z block[0]``, in place; `block` is planar (m, 4, n), so
+    its (4m, n) reshape is a view and each contraction over the m
+    quaternion rows is one real gemm against the 4m x 4 real form N of u
+    (the real form of conj(u).T is N.T)."""
     m, _, n = block.shape
     flat = block.reshape(4 * m, n)
     nmat = _lmat(u).reshape(4 * m, 4)
     flat -= nmat @ (nmat.T @ flat)
-    block[...] = np.matmul(_lmat(z4), block)
+    block[0] = _lmat(z4) @ block[0]
 
 
 def _reflect_right(u: np.ndarray, z4: np.ndarray, block: np.ndarray) -> None:
-    """``block <- (block - (block u) u*) z`` in place on a planar (m, 4, n)
+    """``block <- block - (block u) u*``, then the pivot column
+    ``block[:, 0] <- block[:, 0] z``, in place on a planar (m, 4, n)
     block: t = block u is one gemm over the columns followed by a 16 -> 4
     contraction with the structure constants, and the rank-4 update
     ``t conj(u).T`` is one gemm of the 4m x 4 real form of t against
@@ -97,15 +102,17 @@ def _reflect_right(u: np.ndarray, z4: np.ndarray, block: np.ndarray) -> None:
     flat = block.reshape(4 * m, n)
     t = (flat @ u).reshape(m, 16) @ _TO_T
     flat -= _lmat(t).reshape(4 * m, 4) @ (u * _CONJ).T
-    block[...] = np.matmul(_rmat(z4), block)
+    block[:, :, 0] = block[:, :, 0] @ _rmat(z4).T
 
 
 def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
     """Compute unitary L (r x r) and R (c x c) with L A R real bidiagonal.
 
     With ``accumulate=False`` the factors are skipped (returned as None)
-    and only the band and the snap diagnostic are produced.
+    and only the band and the snap diagnostic are produced.  Raises
+    NonFiniteInput, naming the first NaN or infinite entry.
     """
+    _check_finite(a)
     wide = a.cols > a.rows
     # Planar copy of A, or of A* when A is wide, so that rows >= cols.
     if wide:
@@ -117,7 +124,7 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
     e1[0] = 1.0
     # (offset, u, s) of every non-identity reflector, in order, for the
     # factors: L* and R are both products of (I - u u*) S, where S
-    # left-multiplies the rows from `offset` on by s, a (4,) array.
+    # left-multiplies the row at `offset` by s, a (4,) array.
     lrefl, rrefl = [], []
 
     for k in range(cols):
@@ -182,41 +189,30 @@ _NB = 16
 def _form_factor(m: int, reflectors) -> np.ndarray:
     """Planar (m, 4, m) product of ``(I - u_k u_k*) S_k`` over the
     recorded ``(offset, u_k, s_k)``, k ascending, S_k left-multiplying the
-    rows from the offset on by the unit quaternion s_k, a (4,) array.
+    row at the offset by the unit quaternion s_k, a (4,) array.
 
-    Offsets ascend, so u_k lies inside the rows of every earlier S_j, and
-    for those ``S (I - u u*) = (I - (s u)(s u)*) S``.  Pushing every
-    scalar to the right leaves ``prod (I - v_k v_k*) D`` with
-    ``v_k = c_k u_k``, ``c_k = s_0 ... s_(k-1)`` (each product taken in
-    real form, ``_lmat(c) @ s``), and D diagonal: the rows from offset k
-    up to offset k+1 carry c_(k+1).  Panels of _NB
-    reflectors are then applied backward to D as ``I - V T V*`` in real
-    form on the planar view.  Each panel touches only the trailing
-    ``[o:, o:]`` block, o its first offset: everything applied so far acts
-    on rows and columns from the next panel's offset on, and D is diagonal.
+    Offsets ascend and every later u_j is zero on row offset_k, so S_k
+    commutes with every later projector: the product is
+    ``prod (I - u_k u_k*) D``, D diagonal with s_k at offset_k and 1
+    elsewhere.  Panels of _NB reflectors are applied backward to D as
+    ``I - V T V*`` in real form on the planar view.  Each panel touches
+    only the trailing ``[o:, o:]`` block, o its first offset: everything
+    applied so far acts on rows and columns from the next panel's offset
+    on, and D is diagonal.
     """
-    diag = np.empty((m, 4))
-    scalars = np.empty((len(reflectors), 4))
-    cum = np.array([1.0, 0.0, 0.0, 0.0])
-    row = 0
-    for k, (offset, _, s) in enumerate(reflectors):
-        scalars[k] = diag[row:offset] = cum
-        cum = _lmat(cum) @ s
-        row = offset
-    diag[row:] = cum
     out = np.zeros((m, 4, m))
-    out[np.arange(m), :, np.arange(m)] = diag
+    out[np.arange(m), 0, np.arange(m)] = 1.0
+    for offset, _, s in reflectors:
+        out[offset, :, offset] = s
 
     for p in reversed(range(0, len(reflectors), _NB)):
         panel = reflectors[p:p + _NB]
         o, width = panel[0][0], len(panel)
-        # Panel vectors as [j, component, row], then v_j = c_j u_j.
-        vt = np.zeros((width, 4, m - o))
+        # Panel vectors as [row, component, j]; real form V, columns
+        # ordered (component k, reflector j).
+        vp = np.zeros((m - o, 4, width))
         for j, (offset, u, _) in enumerate(panel):
-            vt[j, :, offset - o:] = u.T
-        vt = np.matmul(_lmat(scalars[p:p + _NB]), vt)
-        # Real form V, columns ordered (component k, reflector j).
-        vp = np.ascontiguousarray(vt.transpose(2, 1, 0))
+            vp[offset - o:, :, j] = u
         vmat = np.matmul(_LMAT_OF, vp).reshape(4 * (m - o), 4 * width)
         flat = out[o:, :, o:].reshape(4 * (m - o), m - o)
         flat -= vmat @ (_wy_t(vmat, width) @ (vmat.T @ flat))

@@ -76,7 +76,8 @@ def _read(path: str, reader):
 
 def _read_finite(path: str):
     """The QMAT at `path`, rejected with NonFiniteInput (exit 2) if an
-    entry is NaN or infinite; `svd` leaves that check to qsvd."""
+    entry is NaN or infinite; `svd` and `bidiag` leave that check to
+    ``bidiagonalize``."""
     a = _read(path, read_qmatrix)
     _check_finite(a)
     return a
@@ -97,7 +98,7 @@ def _run_gen(ns) -> int:
 
 
 def _run_bidiag(ns) -> int:
-    a = _read_finite(ns.input)
+    a = _read(ns.input, read_qmatrix)
     result = bidiagonalize(a)
     directory = _out_dir(ns)
     write_qmatrix(result.left, directory / "L.qmat")

@@ -22,7 +22,7 @@ import numpy as np
 from .bidiag import bidiagonalize, extract_band
 from .errors import GroupingFailure, NoConvergence, ShapeMismatch
 from .oracle import adjoint_error_bound, adjoint_singular_values
-from .qmat import QMatrix, _check_finite
+from .qmat import QMatrix
 from .rsvd import BidiagonalBand, bidiag_svd
 
 __all__ = ["QsvdResult", "qsvd", "reconstruct", "verify", "CheckResult", "VerifyReport"]
@@ -56,10 +56,10 @@ def qsvd(a: QMatrix, want_vectors: bool = True) -> QsvdResult:
 
     Returns square unitary factors U (r x r) and V (c x c);
     ``want_vectors=False`` skips forming the factors and returns
-    sigma alone.  Raises NonFiniteInput, naming the first NaN or infinite
-    entry, and NoConvergence if the real SVD fails.
+    sigma alone.  Raises NonFiniteInput from ``bidiagonalize``, naming the
+    first NaN or infinite entry (the prescale leaves such entries as they
+    are), and NoConvergence if the real SVD fails.
     """
-    _check_finite(a)
     exponent = _exponent(a.data)
     bd = bidiagonalize(QMatrix(np.ldexp(a.data, -exponent)), accumulate=want_vectors)
     d, e = extract_band(bd.bidiagonal, lower=not bd.upper)

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 import quatsvd.bidiag as bidiag
 from quatsvd import (
+    HouseholderReflector,
+    NonFiniteInput,
     NotBidiagonal,
     QMatrix,
     QVector,
@@ -93,8 +95,22 @@ def _embed(m: QMatrix, size: int, offset: int) -> QMatrix:
     return QMatrix(full)
 
 
+def _bare(h):
+    """`h` without its unit scalar: the projector I - u u* alone."""
+    return HouseholderReflector(h.u, Quaternion(1), h.side)
+
+
+def _pivot(size: int, offset: int, z: Quaternion) -> QMatrix:
+    """The identity with z at (offset, offset): the scalar on the pivot only."""
+    d = QMatrix.identity(size)
+    d[offset, offset] = z
+    return d
+
+
 def explicit_bidiagonalize(a: QMatrix):
-    """Slow reference: form every reflector as a dense matrix and multiply."""
+    """Slow reference: form every reflector as a dense matrix and multiply.
+    Each reflector's scalar multiplies its pivot row (left) or column
+    (right) only."""
     r, c = a.shape
     if c > r:
         lt, bt, rt = explicit_bidiagonalize(a.conj_transpose())
@@ -104,12 +120,12 @@ def explicit_bidiagonalize(a: QMatrix):
     work = a.copy()
     for k in range(c):
         h = left_householder(QVector(work.data[k:, k, :].copy()), e1(r - k))
-        hm = _embed(form_matrix(h), r, k)
+        hm = _pivot(r, k, h.z) @ _embed(form_matrix(_bare(h)), r, k)
         work = hm @ work
         left = hm @ left
         if k <= c - 2:
             g = right_householder(QVector(work.data[k, k + 1 :, :].copy()), e1(c - 1 - k))
-            gm = _embed(form_matrix(g), c, k + 1)
+            gm = _embed(form_matrix(_bare(g)), c, k + 1) @ _pivot(c, k + 1, g.z)
             work = work @ gm
             right = right @ gm
     return left, RMatrix(work.data[..., 0].copy()), right
@@ -130,7 +146,8 @@ def test_matches_dense_reference(seed, r, c):
 
 def reflector_bidiagonalize(a: QMatrix):
     """Reference from the public reflector API on the interleaved layout,
-    with no snapping: (L, real part of L A R, R)."""
+    with no snapping: (L, real part of L A R, R).  Each reflector's scalar
+    multiplies its pivot row (left) or column (right) only."""
     r, c = a.shape
     if c > r:
         left, band, right = reflector_bidiagonalize(a.conj_transpose())
@@ -138,12 +155,14 @@ def reflector_bidiagonalize(a: QMatrix):
     work, left, right = a.copy(), QMatrix.identity(r), QMatrix.identity(c)
     for k in range(c):
         h = left_householder(QVector(work.data[k:, k, :].copy()), e1(r - k))
-        work.data[k:] = apply_left(h, QMatrix(work.data[k:])).data
-        left.data[k:] = apply_left(h, QMatrix(left.data[k:])).data
+        for m in (work, left):
+            m.data[k:] = apply_left(_bare(h), QMatrix(m.data[k:])).data
+            m.data[k:k + 1] = QMatrix(m.data[k:k + 1]).scale_left(h.z).data
         if k <= c - 2:
             g = right_householder(QVector(work.data[k, k + 1:, :].copy()), e1(c - 1 - k))
-            work.data[:, k + 1:] = apply_right(g, QMatrix(work.data[:, k + 1:])).data
-            right.data[:, k + 1:] = apply_right(g, QMatrix(right.data[:, k + 1:])).data
+            for m in (work, right):
+                m.data[:, k + 1:] = apply_right(_bare(g), QMatrix(m.data[:, k + 1:])).data
+                m.data[:, k + 1:k + 2] = QMatrix(m.data[:, k + 1:k + 2]).scale_right(g.z).data
     return left, work.data[..., 0], right
 
 
@@ -232,6 +251,63 @@ def test_identity_reflectors_inside_a_panel(monkeypatch):
     assert np.abs(res.bidiagonal.data - band).max() <= unit * a.frobenius_norm()
     assert np.abs(res.left.data - left.data).max() <= unit
     assert np.abs(res.right.data - right.data).max() <= unit
+
+
+def _identity_left_reflector_under_a_superdiagonal():
+    """3 x 3 inputs whose step-1 left reflector is the identity (d1 = 0)
+    while row 1 still holds the superdiagonal entry e1 != 0: the real
+    [[1, 0, 0], [0, 0, 1], [0, 0, 1]] and a quaternion one shaped alike."""
+    real = RMatrix(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])).promote()
+    data = np.zeros((3, 3, 4))
+    data[[0, 1, 2], [0, 2, 2]] = np.random.default_rng(11).standard_normal((3, 4))
+    return [real, QMatrix(data)]
+
+
+@pytest.mark.parametrize("a", _identity_left_reflector_under_a_superdiagonal())
+def test_identity_left_reflector_keeps_the_scalars_on_their_rows(a):
+    res = bidiagonalize(a)
+    d, e = extract_band(res.bidiagonal)
+    assert d[1] == 0.0 and e[1] != 0.0
+    unit = 64 * 3 * EPS
+    assert recon_error(a, res) <= unit * a.frobenius_norm()
+    assert unitary_error(res.left) <= unit
+    assert unitary_error(res.right) <= unit
+    left, band, right = reflector_bidiagonalize(a)
+    assert np.abs(res.bidiagonal.data - band).max() <= unit * a.frobenius_norm()
+    assert np.abs(res.left.data - left.data).max() <= unit
+    assert np.abs(res.right.data - right.data).max() <= unit
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_unit_scalar_multiplies_the_pivot_only(side):
+    """With u = 0 the reflector is its unit scalar alone, and that acts on
+    the pivot row (left) or pivot column (right) of the block only."""
+    rng = np.random.default_rng(12)
+    block = rng.standard_normal((5, 4, 3))
+    z4 = rng.standard_normal(4)
+    z4 /= np.linalg.norm(z4)
+    z = Quaternion(*z4.tolist())
+    out = block.copy()
+    if side == "left":
+        bidiag._reflect_left(np.zeros((5, 4)), z4, out)
+        pivot = QMatrix(block[:1].transpose(0, 2, 1)).scale_left(z).data[0].T
+        assert np.array_equal(out[1:], block[1:])
+        assert np.allclose(out[0], pivot, rtol=0, atol=16 * EPS)
+    else:
+        bidiag._reflect_right(np.zeros((3, 4)), z4, out)
+        pivot = QMatrix(block[:, :, :1].transpose(0, 2, 1)).scale_right(z).data[:, 0]
+        assert np.array_equal(out[:, :, 1:], block[:, :, 1:])
+        assert np.allclose(out[:, :, 0], pivot, rtol=0, atol=16 * EPS)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("accumulate", [True, False])
+def test_non_finite_entry_is_named(bad, accumulate):
+    a = random_qmatrix(4, 3, np.random.default_rng(6))
+    a.data[2, 1, 3] = bad
+    a.data[3, 2, 0] = bad
+    with pytest.raises(NonFiniteInput, match=r"\(2, 1\)"):
+        bidiagonalize(a, accumulate=accumulate)
 
 
 def test_reduction_avoids_interleaved_hamilton_kernels():
