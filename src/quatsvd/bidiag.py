@@ -20,11 +20,11 @@ the real form of u; its unit scalar, which makes the pivot real, then
 multiplies the pivot row (left) or column (right) only.  D (I - u u*),
 D the identity but for the scalar on the pivot, is unitary and maps the
 column onto a real alpha * e1, as LAPACK's xLARFG makes beta real
-through a complex tau.  The loop only records the reflectors; L and R are formed after it, the way LAPACK's xORGBR does,
-by applying panels of reflectors in compact-WY form ``I - V T V*``
-(Schreiber & Van Loan 1989) backward to the diagonal of the scalars, so
-the factors cost real gemms of panel width rather than one rank-4
-update per reflector.
+through a complex tau.  The loop only records the reflectors; L and R
+are formed after it, the way LAPACK's xORGBR does, by applying panels
+of reflectors in compact-WY form ``I - V T V*`` (Schreiber & Van Loan
+1989) backward to the diagonal of the scalars, so the factors cost real
+gemms of panel width rather than one rank-4 update per reflector.
 
 Tall-or-square input yields an upper bidiagonal B.  A wide matrix is
 reduced in the same pass, as LAPACK's xGEBRD does: the work copy holds
@@ -40,7 +40,8 @@ import numpy as np
 
 from .errors import NotBidiagonal
 from .householder import left_householder, right_householder
-from .qmat import QMatrix, QVector, RMatrix, _check_finite, _q4
+from .qmat import (QMatrix, QVector, RMatrix, _CONJ, _HAMILTON, _LMAT_OF, _check_finite,
+                   _lmat, _q4, _rmat)
 
 __all__ = ["BidiagResult", "bidiagonalize", "check_bidiagonal", "extract_band"]
 
@@ -53,29 +54,6 @@ class BidiagResult:
     right: QMatrix | None
     upper: bool
     snap_residue: float
-
-
-# Real 4x4 matrices of quaternion multiplication: component l of q * p is
-# sum_k _lmat(q)[l, k] p[k], and of p * q it is sum_k _rmat(q)[l, k] p[k].
-_IDX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
-_SIGN_L = np.array([[1, -1, -1, -1], [1, 1, -1, 1], [1, 1, 1, -1], [1, -1, 1, 1]], dtype=float)
-_SIGN_R = np.array([[1, -1, -1, -1], [1, 1, 1, -1], [1, -1, 1, 1], [1, 1, -1, 1]], dtype=float)
-# The same as (16, 4) maps from the components of q to the entries of its
-# matrix, so that real forms are one matmul (adding exact zeros), not a gather.
-_LMAT_OF = (np.eye(4)[_IDX] * _SIGN_L[..., np.newaxis]).reshape(16, 4)
-_RMAT_OF = (np.eye(4)[_IDX] * _SIGN_R[..., np.newaxis]).reshape(16, 4)
-# Structure constants for the right apply: _TO_T[(k, p), l] is the
-# coefficient of e_l in e_k e_p, contracting x[k] y[p] to the product x * y.
-_TO_T = _LMAT_OF.reshape(4, 4, 4).transpose(2, 1, 0).reshape(16, 4)
-_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
-
-
-def _lmat(q: np.ndarray) -> np.ndarray:
-    return (q @ _LMAT_OF.T).reshape(q.shape[:-1] + (4, 4))
-
-
-def _rmat(q: np.ndarray) -> np.ndarray:
-    return (q @ _RMAT_OF.T).reshape(q.shape[:-1] + (4, 4))
 
 
 def _reflect_left(u: np.ndarray, z4: np.ndarray, block: np.ndarray) -> None:
@@ -95,12 +73,12 @@ def _reflect_right(u: np.ndarray, z4: np.ndarray, block: np.ndarray) -> None:
     """``block <- block - (block u) u*``, then the pivot column
     ``block[:, 0] <- block[:, 0] z``, in place on a planar (m, 4, n)
     block: t = block u is one gemm over the columns followed by a 16 -> 4
-    contraction with the structure constants, and the rank-4 update
-    ``t conj(u).T`` is one gemm of the 4m x 4 real form of t against
-    ``(u * _CONJ).T``."""
+    contraction with the structure constants _HAMILTON, and the rank-4
+    update ``t conj(u).T`` is one gemm of the 4m x 4 real form of t
+    against ``(u * _CONJ).T``."""
     m, _, n = block.shape
     flat = block.reshape(4 * m, n)
-    t = (flat @ u).reshape(m, 16) @ _TO_T
+    t = (flat @ u).reshape(m, 16) @ _HAMILTON
     flat -= _lmat(t).reshape(4 * m, 4) @ (u * _CONJ).T
     block[:, :, 0] = block[:, :, 0] @ _rmat(z4).T
 

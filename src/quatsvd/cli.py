@@ -64,23 +64,16 @@ def _tolerance(text: str) -> float:
 
 
 def _read(path: str, reader):
+    """The matrix `reader` reads from `path`; a missing or malformed file,
+    or a NaN or infinite entry, exits 2 with the path named."""
     try:
-        return reader(path)
+        matrix = reader(path)
+        _check_finite(matrix)
+        return matrix
     except FileNotFoundError:
         raise _CommandError(2, f"{path}: no such file") from None
-    except FormatError as err:
+    except (FormatError, NonFiniteInput, OSError) as err:
         raise _CommandError(2, f"{path}: {err}") from None
-    except OSError as err:
-        raise _CommandError(2, f"{path}: {err}") from None
-
-
-def _read_finite(path: str):
-    """The QMAT at `path`, rejected with NonFiniteInput (exit 2) if an
-    entry is NaN or infinite; `svd` and `bidiag` leave that check to
-    ``bidiagonalize``."""
-    a = _read(path, read_qmatrix)
-    _check_finite(a)
-    return a
 
 
 def _out_dir(ns) -> Path:
@@ -129,7 +122,7 @@ def _sigma_from_file(s: RMatrix, rows: int, cols: int) -> np.ndarray:
 
 
 def _run_check(ns) -> int:
-    a = _read_finite(ns.input)
+    a = _read(ns.input, read_qmatrix)
     u = _read(ns.u, read_qmatrix)
     s = _read(ns.s, read_rmatrix)
     v = _read(ns.v, read_qmatrix)
@@ -152,7 +145,7 @@ def _run_check(ns) -> int:
 
 
 def _run_adjoint_svs(ns) -> int:
-    a = _read_finite(ns.input)
+    a = _read(ns.input, read_qmatrix)
     for value in adjoint_singular_values(a):
         print(repr(float(value)))
     return 0
@@ -209,7 +202,7 @@ def main(argv=None) -> int:
     except _CommandError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code
-    except (ShapeMismatch, FormatError, NonFiniteInput) as err:
+    except (ShapeMismatch, FormatError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (NoConvergence, GroupingFailure) as err:
@@ -222,3 +215,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

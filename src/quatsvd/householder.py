@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadTarget, ShapeMismatch
-from .qmat import QMatrix, QVector, _conj, _hmatmul, _hscale, _q4, _safe_norm
+from .qmat import QMatrix, QVector, _CONJ, _hmatmul, _hscale, _q4, _safe_norm
 from .quat import Quaternion
 
 EPS = 2.0 ** -52
@@ -114,9 +114,8 @@ def right_householder(a_row: QVector, v) -> HouseholderReflector:
     is its conjugate transpose, which shares the same ``u`` and carries
     the conjugated scalar.
     """
-    u, zeta4 = _reflector(_conj(a_row.data), _check_target(len(a_row), v))
-    w, x, y, z = zeta4.tolist()
-    return HouseholderReflector(QVector(u), Quaternion(w, -x, -y, -z), Side.RIGHT)
+    u, zeta4 = _reflector(a_row.data * _CONJ, _check_target(len(a_row), v))
+    return HouseholderReflector(QVector(u), Quaternion(*(zeta4 * _CONJ).tolist()), Side.RIGHT)
 
 
 def right_householder_direct(a_row: QVector, v) -> HouseholderReflector:
@@ -141,14 +140,13 @@ def right_householder_direct(a_row: QVector, v) -> HouseholderReflector:
     else:
         zeta4 = -t / r
     mu = math.sqrt(alpha) * math.sqrt(alpha + r)  # no overflow of alpha**2
-    zbar = zeta4 * np.array([1.0, -1.0, -1.0, -1.0])
-    u = (np.outer(v * alpha, zbar) - _conj(a_row.data)) / mu
+    u = (np.outer(v * alpha, zeta4 * _CONJ) - a_row.data * _CONJ) / mu
     return HouseholderReflector(QVector(u), Quaternion(*zeta4), Side.RIGHT)
 
 
 def _apply_left_block(u_data, z4, block):
     """``z * (block - u (conj(u).T block))`` for a (m, n, 4) component block."""
-    s = _hmatmul(_conj(u_data)[np.newaxis, :, :], block)
+    s = _hmatmul((u_data * _CONJ)[np.newaxis, :, :], block)
     out = block - _hmatmul(u_data[:, np.newaxis, :], s)
     return _hscale(z4, out, "left")
 
@@ -156,7 +154,7 @@ def _apply_left_block(u_data, z4, block):
 def _apply_right_block(u_data, z4, block):
     """``(block - (block u) conj(u).T) * z`` for a (m, n, 4) component block."""
     t = _hmatmul(block, u_data[:, np.newaxis, :])
-    out = block - _hmatmul(t, _conj(u_data)[np.newaxis, :, :])
+    out = block - _hmatmul(t, (u_data * _CONJ)[np.newaxis, :, :])
     return _hscale(z4, out, "right")
 
 
@@ -192,8 +190,9 @@ def apply_right(h: HouseholderReflector, target):
 
 
 def form_matrix(h: HouseholderReflector) -> QMatrix:
-    """Explicit transformation matrix; reference path for tests and small
-    problems only, the implicit apply functions are the production route."""
+    """Explicit transformation matrix; a reference for tests and small
+    problems.  The production route is bidiagonalize's planar kernels,
+    which apply each reflector without forming it."""
     m = len(h)
     projector = QMatrix.identity(m) - h.u.outer_hermitian()
     if h.side is Side.LEFT:

@@ -199,8 +199,9 @@ def adjoint_singular_values(a: QMatrix) -> np.ndarray:
     The adjoint of the tall side (A or conj(A).T) is scaled by a power of
     two to max |entry| in [1/2, 1), triangularised and orthogonalised by
     one-sided Jacobi.  Its 4 * min(r, c) values are sorted and collapsed
-    into consecutive runs of four, each to its mean.  Every value is
-    within ``adjoint_error_bound(a, sigma_max)`` of the truth.  Raises
+    into consecutive runs of four, each to its mean, before they are
+    scaled back.  Every value is within
+    ``adjoint_error_bound(a, sigma_max)`` of the truth.  Raises
     GroupingFailure when a run of four spreads beyond that bound,
     NoConvergence when Jacobi reaches MAX_SWEEPS sweeps or an entry is
     not finite.
@@ -215,13 +216,13 @@ def adjoint_singular_values(a: QMatrix) -> np.ndarray:
         return np.zeros(a.cols)
     exponent = int(np.frexp(top)[1])
     vals = _row_norms_after_jacobi(_triangularize(np.ldexp(chi, -exponent)))
-    vals = np.ldexp(np.sort(vals)[::-1], exponent)
-
-    groups = vals.reshape(a.cols, 4)
-    bound = adjoint_error_bound(a, float(vals[0]))
+    # Grouped, bounded and averaged at the scale of max |entry| ~ 1, so
+    # that a mean of values near the overflow threshold cannot overflow.
+    groups = np.sort(vals)[::-1].reshape(a.cols, 4)
+    bound = adjoint_error_bound(a, float(groups[0, 0]))
     spread = float((groups[:, 0] - groups[:, -1]).max())
     if spread > bound:
         raise GroupingFailure(
             f"fourfold multiplicity not resolved: group spread {spread:.3e} "
-            f"exceeds the error bound {bound:.3e}")
-    return groups.mean(axis=1)
+            f"exceeds the error bound {bound:.3e}, both in units of 2**{exponent}")
+    return np.ldexp(groups.mean(axis=1), exponent)

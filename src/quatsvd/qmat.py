@@ -1,9 +1,11 @@
 """Dense quaternion matrices and vectors.
 
 Storage is a row-major float64 component array with a trailing axis of
-length 4 holding ``(w, x, y, z)``.  All products expand the Hamilton
-product into real operations on the component slices, which keeps the
-non-commutative ordering explicit.
+length 4 holding ``(w, x, y, z)``.  The Hamilton product is written out
+once, in ``Quaternion.__mul__``; this module reads its structure
+constants off the products of the units ``1, i, j, k`` at import, and
+every array product, real form and conjugation below the public API is
+derived from them.
 """
 
 from __future__ import annotations
@@ -13,9 +15,38 @@ import math
 import numpy as np
 
 from .errors import NonFiniteInput, ShapeMismatch
-from .quat import Quaternion
+from .quat import I, J, K, ONE, Quaternion
 
 __all__ = ["QMatrix", "QVector", "RMatrix", "random_qmatrix"]
+
+
+def _q4(q: Quaternion) -> np.ndarray:
+    return np.array((q.w, q.x, q.y, q.z))
+
+
+# ---------------------------------------------------------------------------
+# the Hamilton product as arrays, from Quaternion.__mul__ on the units
+
+_UNITS = (ONE, I, J, K)
+# Structure constants: _HAMILTON[4 k + p, l] is the coefficient of e_l in
+# e_k e_p, so the 16 products x_k y_p of two component arrays contract to
+# the components of x * y.  Every entry is an exact 0 or +-1.
+_HAMILTON = np.array([_q4(e * f) for e in _UNITS for f in _UNITS])
+# Real 4x4 matrices of multiplication as (16, 4) maps from the components
+# of q, so that a real form is one matmul: component l of q * p is
+# sum_k _lmat(q)[l, k] p[k], and of p * q it is sum_k _rmat(q)[l, k] p[k].
+_LMAT_OF = _HAMILTON.reshape(4, 4, 4).transpose(2, 1, 0).reshape(16, 4)
+_RMAT_OF = _HAMILTON.reshape(4, 4, 4).transpose(2, 0, 1).reshape(16, 4)
+# Signs of conjugation: e_k e_k is real, +1 for the unit 1 and -1 for i, j, k.
+_CONJ = np.array([(e * e).w for e in _UNITS])
+
+
+def _lmat(q: np.ndarray) -> np.ndarray:
+    return (q @ _LMAT_OF.T).reshape(q.shape[:-1] + (4, 4))
+
+
+def _rmat(q: np.ndarray) -> np.ndarray:
+    return (q @ _RMAT_OF.T).reshape(q.shape[:-1] + (4, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -30,44 +61,23 @@ def _as_components(data, expected_ndim):
     return np.ascontiguousarray(arr)
 
 
-def _conj(a):
-    out = a.copy()
-    out[..., 1:] = -out[..., 1:]
-    return out
-
-
-def _hproduct(a, b, mul):
-    """Hamilton product of component arrays, with `mul` the product of
-    their real components (np.matmul or np.multiply)."""
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack([
-        mul(aw, bw) - mul(ax, bx) - mul(ay, by) - mul(az, bz),
-        mul(aw, bx) + mul(ax, bw) + mul(ay, bz) - mul(az, by),
-        mul(aw, by) - mul(ax, bz) + mul(ay, bw) + mul(az, bx),
-        mul(aw, bz) + mul(ax, by) - mul(ay, bx) + mul(az, bw),
-    ], axis=-1)
-
-
 def _hmatmul(a, b):
-    """Hamilton product of component arrays (r, m, 4) @ (m, c, 4)."""
-    return _hproduct(a, b, np.matmul)
+    """Hamilton product of component arrays (r, m, 4) @ (m, c, 4): the 16
+    real matmuls of their components, contracted with _HAMILTON."""
+    prods = np.matmul(a.transpose(2, 0, 1)[:, np.newaxis], b.transpose(2, 0, 1))
+    return (prods.reshape(16, -1).T @ _HAMILTON).reshape(a.shape[0], b.shape[1], 4)
 
 
 def _hscale(q, a, side):
     """Multiply every entry of `a` by the quaternion components `q`, a
-    (4,) array, on one side."""
-    return _hproduct(q, a, np.multiply) if side == "left" else _hproduct(a, q, np.multiply)
+    (4,) array, on one side, through the real form of q."""
+    return a @ (_lmat(q) if side == "left" else _rmat(q)).T
 
 
-def _q4(q: Quaternion) -> np.ndarray:
-    return np.array((q.w, q.x, q.y, q.z))
-
-
-def _check_finite(a: QMatrix) -> None:
-    """Raise NonFiniteInput naming the first entry with a NaN or infinite
-    component."""
-    bad = ~np.isfinite(a.data).all(axis=-1)
+def _check_finite(a: QMatrix | RMatrix) -> None:
+    """Raise NonFiniteInput naming the first entry of a quaternion or real
+    matrix that is NaN or infinite or has such a component."""
+    bad = ~np.isfinite(a.data.reshape(a.rows, a.cols, -1)).all(axis=-1)
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise NonFiniteInput(f"entry ({i}, {j}) is not finite: {a.data[i, j].tolist()}")
@@ -115,9 +125,6 @@ class QVector:
     def __setitem__(self, i: int, value):
         self.data[i] = _entry_components(value)
 
-    def conjugate(self) -> QVector:
-        return QVector(_conj(self.data))
-
     def norm(self) -> float:
         """Euclidean norm, the square root of the summed squared moduli."""
         return _safe_norm(self.data.ravel())
@@ -125,12 +132,11 @@ class QVector:
     def outer_hermitian(self) -> QMatrix:
         """Rank-one Hermitian matrix with entries ``u_i * conj(u_j)``."""
         u = self.data
-        out = _hmatmul(u[:, np.newaxis, :], _conj(u)[np.newaxis, :, :])
+        out = _hmatmul(u[:, np.newaxis, :], (u * _CONJ)[np.newaxis, :, :])
         # Mirror the strict triangle: (i,j) and (j,i) sum the same products in
         # different orders, so symmetry would otherwise hold only to rounding.
         i, j = np.triu_indices(len(u), 1)
-        out[j, i, 0] = out[i, j, 0]
-        out[j, i, 1:] = -out[i, j, 1:]
+        out[j, i] = out[i, j] * _CONJ
         # Diagonal entries are |u_i|^2: wipe the vector-part rounding residue.
         k = np.arange(len(u))
         out[k, k, 1:] = 0.0
@@ -194,18 +200,9 @@ class QMatrix:
         i, j = ij
         self.data[i, j] = _entry_components(value)
 
-    def column(self, j: int) -> QVector:
-        return QVector(self.data[:, j, :].copy())
-
-    def row(self, i: int) -> QVector:
-        return QVector(self.data[i, :, :].copy())
-
-    def conjugate(self) -> QMatrix:
-        return QMatrix(_conj(self.data))
-
     def conj_transpose(self) -> QMatrix:
         """Transpose with entrywise conjugation (the quaternion adjoint)."""
-        return QMatrix(np.ascontiguousarray(_conj(self.data).swapaxes(0, 1)))
+        return QMatrix(np.ascontiguousarray((self.data * _CONJ).swapaxes(0, 1)))
 
     def __matmul__(self, other):
         if isinstance(other, RMatrix):
@@ -270,10 +267,6 @@ class RMatrix:
         return (self.rows, self.cols)
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> RMatrix:
-        return cls(np.zeros((rows, cols)))
-
-    @classmethod
     def identity(cls, n: int) -> RMatrix:
         return cls(np.eye(n))
 
@@ -282,9 +275,6 @@ class RMatrix:
 
     def __setitem__(self, ij, value):
         self.data[ij] = float(value)
-
-    def transpose(self) -> RMatrix:
-        return RMatrix(self.data.T.copy())
 
     def promote(self) -> QMatrix:
         """Embed as a quaternion matrix with zero vector parts."""

@@ -22,7 +22,7 @@ import numpy as np
 from .bidiag import bidiagonalize, extract_band
 from .errors import GroupingFailure, NoConvergence, ShapeMismatch
 from .oracle import adjoint_error_bound, adjoint_singular_values
-from .qmat import QMatrix
+from .qmat import QMatrix, _CONJ
 from .rsvd import BidiagonalBand, bidiag_svd
 
 __all__ = ["QsvdResult", "qsvd", "reconstruct", "verify", "CheckResult", "VerifyReport"]
@@ -74,7 +74,7 @@ def qsvd(a: QMatrix, want_vectors: bool = True) -> QsvdResult:
     # U = conj(L).T W: lift from the plain transpose of L and conjugate the
     # product, which commutes with the real W.
     u = _lift(bd.left.data.swapaxes(0, 1), w)
-    np.negative(u.data[..., 1:], out=u.data[..., 1:])
+    u.data *= _CONJ
     v = _lift(bd.right.data, x)
     return QsvdResult(u=u, sigma=sigma, v=v)
 

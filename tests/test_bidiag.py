@@ -317,7 +317,8 @@ def test_reduction_avoids_interleaved_hamilton_kernels():
     names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
               for alias in node.names}
     assert not names & {"_hmatmul", "_apply_left_block", "_apply_right_block",
-                        "Quaternion", "_conj", "_MUL", "_FROM_T"}
+                        "Quaternion", "_conj", "_MUL", "_FROM_T", "_IDX", "_SIGN_L",
+                        "_SIGN_R", "_hproduct"}
 
 
 # --- contract properties ------------------------------------------------------

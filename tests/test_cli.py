@@ -1,6 +1,13 @@
 """Command-line workflows over QMAT/RMAT files, driven in-process."""
 
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 import quatsvd.cli
 from quatsvd import (
@@ -11,6 +18,7 @@ from quatsvd import (
     read_qmatrix,
     read_rmatrix,
     write_qmatrix,
+    write_rmatrix,
 )
 from quatsvd.cli import main
 
@@ -275,6 +283,45 @@ def test_non_finite_input_exits_two_in_every_command(tmp_path, capsys):
             assert "(2, 1)" in captured.err and "not finite" in captured.err, command
         # Nothing is written for a rejected input.
         assert not (tmp_path / f"{name}_b" / "B.rmat").exists()
+
+
+@pytest.mark.parametrize("factor", ["U", "S", "V"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_check_rejects_non_finite_factor_entries(tmp_path, capsys, factor, bad):
+    src, out = run_svd(tmp_path, random_qmatrix(4, 3, np.random.default_rng(8)))
+    if factor == "S":
+        path = out / "S.rmat"
+        s = read_rmatrix(path)
+        s.data[2, 1] = bad
+        write_rmatrix(s, path)
+    else:
+        path = out / f"{factor}.qmat"
+        m = read_qmatrix(path)
+        m.data[2, 1, 3] = bad
+        write_qmatrix(m, path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["check", str(src), "--u", str(out / "U.qmat"), "--s", str(out / "S.rmat"),
+                     "--v", str(out / "V.qmat")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"{path}: entry (2, 1) is not finite" in captured.err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in captured.err
+
+
+def test_module_runs_as_a_script(tmp_path):
+    paths = [str(Path(quatsvd.cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out = tmp_path / "m.qmat"
+    run = [sys.executable, "-m", "quatsvd.cli", "gen", "--cols", "3", "--seed", "5"]
+    done = subprocess.run(run + ["--rows", "2", "--out", str(out)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert read_qmatrix(out).shape == (2, 3)
+    done = subprocess.run(run + ["--rows", "0", "--out", str(tmp_path / "bad.qmat")], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
 
 
 def test_unknown_command_exits_two(capsys):

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +24,10 @@ from quatsvd import (
     form_matrix,
     jacobi_eigen,
     left_householder,
+    qsvd,
     random_qmatrix,
     real_adjoint,
+    verify,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -217,6 +220,20 @@ def test_adjoint_singular_values_scale_with_the_matrix(exponent):
     vals = adjoint_singular_values(a)
     scaled = adjoint_singular_values(QMatrix(np.ldexp(a.data, exponent)))
     assert np.max(np.abs(np.ldexp(scaled, -exponent) - vals)) <= adjoint_error_bound(a, vals[0])
+
+
+@pytest.mark.parametrize("components, exponent", [
+    (np.random.default_rng(0).standard_normal((5, 3, 4)), 1020),
+    (np.ones((1, 1, 4)), 1022),  # sigma = 2**1023
+])
+def test_verify_accepts_values_near_the_overflow_threshold(components, exponent):
+    # The runs of four are averaged before they are scaled back, so a mean
+    # of values at or above 2**1022 does not overflow.
+    a = QMatrix(np.ldexp(components, exponent))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify(a, qsvd(a))
+    assert report.passed, report.failures()
 
 
 def test_adjoint_singular_values_sweep_cap(monkeypatch):

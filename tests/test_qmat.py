@@ -1,10 +1,15 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quatsvd.qmat as qmat
 from quatsvd.errors import ShapeMismatch
 from quatsvd.householder import form_matrix, left_householder
-from quatsvd.qmat import QMatrix, QVector, RMatrix, random_qmatrix
+from quatsvd.qmat import (QMatrix, QVector, RMatrix, _hmatmul, _hscale, _lmat, _q4, _rmat,
+                          random_qmatrix)
 from quatsvd.quat import I, J, K, Quaternion
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -96,6 +101,44 @@ def test_outer_hermitian_examples():
     assert m[0, 1] == -J
     assert m[1, 0] == J
     assert m[1, 1] == Quaternion(1)
+
+
+@given(seeds)
+@settings(max_examples=60, deadline=None)
+def test_array_forms_follow_quaternion_multiplication(seed):
+    # Every array form is derived from Quaternion.__mul__; check each one
+    # against it entry by entry, on both sides.
+    rng = np.random.default_rng(seed)
+    q, p = rng.uniform(-1, 1, (2, 4))
+    tol = 8 * np.finfo(float).eps
+    assert np.allclose(_lmat(q) @ p, _q4(Quaternion(*q) * Quaternion(*p)), rtol=0, atol=tol)
+    assert np.allclose(_rmat(q) @ p, _q4(Quaternion(*p) * Quaternion(*q)), rtol=0, atol=tol)
+
+    r, m, c = (int(n) for n in rng.integers(1, 5, size=3))
+    a, b = rng.uniform(-1, 1, (r, m, 4)), rng.uniform(-1, 1, (m, c, 4))
+    product = _hmatmul(a, b)
+    left, right = _hscale(q, a, "left"), _hscale(q, a, "right")
+    for i in range(r):
+        for j in range(c):
+            entry = Quaternion()
+            for t in range(m):
+                entry = entry + Quaternion(*a[i, t]) * Quaternion(*b[t, j])
+            assert np.allclose(product[i, j], _q4(entry), rtol=0, atol=m * tol)
+        for j in range(m):
+            assert np.allclose(left[i, j], _q4(Quaternion(*q) * Quaternion(*a[i, j])),
+                               rtol=0, atol=tol)
+            assert np.allclose(right[i, j], _q4(Quaternion(*a[i, j]) * Quaternion(*q)),
+                               rtol=0, atol=tol)
+
+
+def test_real_forms_are_defined_in_qmat_only():
+    names = {"_HAMILTON", "_LMAT_OF", "_RMAT_OF", "_CONJ", "_lmat", "_rmat"}
+    for path in sorted(Path(qmat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        defined |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+                    for target in node.targets if isinstance(target, ast.Name)}
+        assert not defined & names or path.name == "qmat.py", path.name
 
 
 @given(seeds, st.integers(min_value=1, max_value=8))
