@@ -22,7 +22,7 @@ from .formats import read_qmatrix, read_rmatrix, write_qmatrix, write_rmatrix
 from .oracle import adjoint_singular_values
 from .bidiag import bidiagonalize
 from .qmat import RMatrix, _check_finite, random_qmatrix
-from .qsvd import QsvdResult, qsvd, verify
+from .qsvd import CheckResult, QsvdResult, VerifyReport, qsvd, verify
 
 __all__ = ["main", "entry"]
 
@@ -114,11 +114,15 @@ def _run_svd(ns) -> int:
     return 0
 
 
-def _sigma_from_file(s: RMatrix, rows: int, cols: int) -> np.ndarray:
+def _sigma_from_file(s: RMatrix, rows: int, cols: int) -> tuple[np.ndarray, CheckResult]:
+    """Sigma, the diagonal of S, and the check that S is zero off it."""
     if s.shape != (rows, cols):
         raise ShapeMismatch(
             f"singular value matrix is {s.rows}x{s.cols}, expected {rows}x{cols}")
-    return np.diagonal(s.data)[: min(rows, cols)].copy()
+    off = s.data.copy()
+    np.fill_diagonal(off, 0.0)
+    return (np.diagonal(s.data)[: min(rows, cols)].copy(),
+            CheckResult("diagonal(S)", float(np.abs(off).max()), 0.0))
 
 
 def _run_check(ns) -> int:
@@ -131,9 +135,10 @@ def _run_check(ns) -> int:
         raise ShapeMismatch(f"U is {u.rows}x{u.cols}, expected {r}x{r}")
     if v.shape != (c, c):
         raise ShapeMismatch(f"V is {v.rows}x{v.cols}, expected {c}x{c}")
-    sigma = _sigma_from_file(s, r, c)
+    sigma, diagonal = _sigma_from_file(s, r, c)
 
     report = verify(a, QsvdResult(u=u, sigma=sigma, v=v), tol=ns.tol)
+    report = VerifyReport(report.checks + (diagonal,))
     for check in report.checks:
         status = "pass" if check.passed else "FAIL"
         print(f"{check.name}: {check.value:.6e} (bound {check.bound:.6e}) {status}")

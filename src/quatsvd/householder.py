@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadTarget, ShapeMismatch
-from .qmat import QMatrix, QVector, _CONJ, _hmatmul, _hscale, _q4, _safe_norm
+from .qmat import QMatrix, QVector, _CONJ, _check_finite, _hmatmul, _hscale, _q4
 from .quat import Quaternion
 
 EPS = 2.0 ** -52
@@ -70,10 +70,18 @@ def _check_target(n: int, v) -> np.ndarray:
     return v
 
 
-def _reflector(a_data: np.ndarray, v: np.ndarray):
-    """``(u, zeta)`` as arrays for the left reflector of the (n, 4)
-    components `a_data` onto a checked target `v` (see left_householder)."""
-    alpha = _safe_norm(a_data.ravel())
+def _finite_norm(a: QVector) -> float:
+    """``norm(a)``, or NonFiniteInput naming the first NaN or infinite entry
+    when the norm is not finite, so a finite `a` costs no extra pass."""
+    alpha = a.norm()
+    if not math.isfinite(alpha):
+        _check_finite(a)
+    return alpha
+
+
+def _reflector(a_data: np.ndarray, v: np.ndarray, alpha: float):
+    """``(u, zeta)`` as arrays for the left reflector of the (n, 4) components
+    `a_data` of norm `alpha` onto a checked target `v` (see left_householder)."""
     if alpha == 0.0:
         return np.zeros_like(a_data), np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -99,9 +107,10 @@ def left_householder(a: QVector, v) -> HouseholderReflector:
     with ``alpha = norm(a)`` and ``r = |sum_i a_i v_i|``, take ``zeta = 1``
     when r vanishes and ``-(sum_i a_i v_i)/r`` otherwise, then
     ``u = (a - zeta*v*alpha) / (sqrt(alpha) * sqrt(alpha + r))``.  A zero `a`
-    yields the identity reflector (zero u, zeta = 1).
+    yields the identity reflector (zero u, zeta = 1), and a NaN or infinite
+    entry raises NonFiniteInput.
     """
-    u, zeta4 = _reflector(a.data, _check_target(len(a), v))
+    u, zeta4 = _reflector(a.data, _check_target(len(a), v), _finite_norm(a))
     return HouseholderReflector(QVector(u), Quaternion(*zeta4.tolist()), Side.LEFT)
 
 
@@ -114,7 +123,7 @@ def right_householder(a_row: QVector, v) -> HouseholderReflector:
     is its conjugate transpose, which shares the same ``u`` and carries
     the conjugated scalar.
     """
-    u, zeta4 = _reflector(a_row.data * _CONJ, _check_target(len(a_row), v))
+    u, zeta4 = _reflector(a_row.data * _CONJ, _check_target(len(a_row), v), _finite_norm(a_row))
     return HouseholderReflector(QVector(u), Quaternion(*(zeta4 * _CONJ).tolist()), Side.RIGHT)
 
 
@@ -128,7 +137,7 @@ def right_householder_direct(a_row: QVector, v) -> HouseholderReflector:
     ``u @ conj(u).T`` (and hence the transformation) coincides.
     """
     v = _check_target(len(a_row), v)
-    alpha = a_row.norm()
+    alpha = _finite_norm(a_row)
     if alpha == 0.0:
         return HouseholderReflector(QVector.zeros(len(a_row)), Quaternion(1.0), Side.RIGHT)
 
@@ -167,7 +176,7 @@ def apply_left(h: HouseholderReflector, target):
     if h.side is not Side.LEFT:
         raise ValueError("apply_left needs a left-side reflector")
     if isinstance(target, QVector):
-        return QVector(apply_left(h, target.as_column()).data[:, 0, :])
+        return QVector(apply_left(h, QMatrix(target.data[:, np.newaxis])).data[:, 0])
     if target.rows != len(h):
         raise ShapeMismatch(f"reflector length {len(h)} does not match {target.rows} rows")
     if h.is_identity:
@@ -181,7 +190,7 @@ def apply_right(h: HouseholderReflector, target):
     if h.side is not Side.RIGHT:
         raise ValueError("apply_right needs a right-side reflector")
     if isinstance(target, QVector):
-        return QVector(apply_right(h, target.as_row()).data[0, :, :])
+        return QVector(apply_right(h, QMatrix(target.data[np.newaxis])).data[0])
     if target.cols != len(h):
         raise ShapeMismatch(f"reflector length {len(h)} does not match {target.cols} columns")
     if h.is_identity:

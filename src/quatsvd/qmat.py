@@ -1,11 +1,11 @@
-"""Dense quaternion matrices and vectors.
+"""Dense quaternion matrices and vectors, and real matrices.
 
-Storage is a row-major float64 component array with a trailing axis of
-length 4 holding ``(w, x, y, z)``.  The Hamilton product is written out
-once, in ``Quaternion.__mul__``; this module reads its structure
-constants off the products of the units ``1, i, j, k`` at import, and
-every array product, real form and conjugation below the public API is
-derived from them.
+Storage is a row-major float64 array, checked once by a shared base; the
+quaternion types add a trailing axis of length 4 holding ``(w, x, y, z)``.
+The Hamilton product is written out once, in ``Quaternion.__mul__``; this
+module reads its structure constants off the products of the units
+``1, i, j, k`` at import, and every array product, real form and
+conjugation below the public API is derived from them.
 """
 
 from __future__ import annotations
@@ -52,15 +52,6 @@ def _rmat(q: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # component-array helpers (shapes: matrices (r, c, 4), vectors (n, 4))
 
-def _as_components(data, expected_ndim):
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim != expected_ndim or arr.shape[-1] != 4:
-        raise ShapeMismatch(
-            f"expected component array of ndim {expected_ndim} with trailing axis 4, "
-            f"got shape {arr.shape}")
-    return np.ascontiguousarray(arr)
-
-
 def _hmatmul(a, b):
     """Hamilton product of component arrays (r, m, 4) @ (m, c, 4): the 16
     real matmuls of their components, contracted with _HAMILTON."""
@@ -74,19 +65,20 @@ def _hscale(q, a, side):
     return a @ (_lmat(q) if side == "left" else _rmat(q)).T
 
 
-def _check_finite(a: QMatrix | RMatrix) -> None:
-    """Raise NonFiniteInput naming the first entry of a quaternion or real
-    matrix that is NaN or infinite or has such a component."""
-    bad = ~np.isfinite(a.data.reshape(a.rows, a.cols, -1)).all(axis=-1)
+def _check_finite(a: _Array) -> None:
+    """Raise NonFiniteInput naming the first entry of a quaternion vector,
+    quaternion matrix or real matrix that is NaN or infinite or has such a
+    component."""
+    entries = a.data if a._quaternion else a.data[..., np.newaxis]
+    bad = ~np.isfinite(entries).all(axis=-1)
     if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise NonFiniteInput(f"entry ({i}, {j}) is not finite: {a.data[i, j].tolist()}")
+        at = tuple(np.argwhere(bad)[0].tolist())
+        raise NonFiniteInput(
+            f"entry {at if len(at) > 1 else at[0]} is not finite: {a.data[at].tolist()}")
 
 
 def _safe_norm(flat):
     # Scale by the largest component so squaring cannot overflow.
-    if flat.size == 0:
-        return 0.0
     m = float(np.abs(flat).max())
     if m == 0.0 or not math.isfinite(m):
         return m
@@ -97,15 +89,65 @@ def _safe_norm(flat):
 # ---------------------------------------------------------------------------
 
 
-class QVector:
-    """Dense quaternion vector backed by an (n, 4) component array."""
+class _Array:
+    """`data`, a C-contiguous float64 array of `_ndim` nonempty axes, the
+    last of length 4 if `_quaternion`; any other array is a ShapeMismatch."""
 
     __slots__ = ("data",)
+    _ndim: int
+    _quaternion: bool
+    # numpy defers to our operators, so an ndarray operand is a TypeError too.
+    __array_ufunc__ = None
 
     def __init__(self, data):
-        self.data = _as_components(data, 2)
-        if len(self.data) < 1:
-            raise ShapeMismatch("vector must have at least one entry")
+        arr = np.ascontiguousarray(data, dtype=np.float64)
+        shape = arr.shape
+        if len(shape) != self._ndim or 0 in shape or (self._quaternion and shape[-1] != 4):
+            raise ShapeMismatch(
+                f"{type(self).__name__} needs {self._ndim} nonempty axes"
+                f"{', the last of length 4' if self._quaternion else ''}, "
+                f"got shape {np.shape(data)}")
+        self.data = arr
+
+    def copy(self):
+        return type(self)(self.data.copy())
+
+
+class _Matrix(_Array):
+    """The accessors QMatrix and RMatrix share."""
+
+    __slots__ = ()
+
+    @property
+    def rows(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.data.shape[1]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.rows, self.cols)
+
+    def frobenius_norm(self) -> float:
+        return _safe_norm(self.data.ravel())
+
+    def _fit(self, other: _Matrix, op: str) -> None:
+        """Raise ShapeMismatch unless `other` fits: inner sizes for @, shapes else."""
+        if not (self.cols == other.rows if op == "@" else self.shape == other.shape):
+            raise ShapeMismatch(
+                f"cannot combine {self.rows}x{self.cols} {op} {other.rows}x{other.cols}")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.rows}x{self.cols})"
+
+
+class QVector(_Array):
+    """Dense quaternion vector backed by an (n, 4) component array."""
+
+    __slots__ = ()
+    _ndim, _quaternion = 2, True
 
     @classmethod
     def zeros(cls, n: int) -> QVector:
@@ -142,40 +184,16 @@ class QVector:
         out[k, k, 1:] = 0.0
         return QMatrix(out)
 
-    def as_column(self) -> QMatrix:
-        return QMatrix(self.data[:, np.newaxis, :].copy())
-
-    def as_row(self) -> QMatrix:
-        return QMatrix(self.data[np.newaxis, :, :].copy())
-
-    def copy(self) -> QVector:
-        return QVector(self.data.copy())
-
     def __repr__(self) -> str:
         return f"QVector(len={len(self)})"
 
 
-class QMatrix:
-    """Dense quaternion matrix backed by an (rows, cols, 4) component array."""
+class QMatrix(_Matrix):
+    """Dense quaternion matrix backed by an (rows, cols, 4) component array.
+    ``@``, ``+`` and ``-`` take a QMatrix or an RMatrix, which is promoted."""
 
-    __slots__ = ("data",)
-
-    def __init__(self, data):
-        self.data = _as_components(data, 3)
-        if self.rows < 1 or self.cols < 1:
-            raise ShapeMismatch("matrix must have at least one row and column")
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
+    __slots__ = ()
+    _ndim, _quaternion = 3, True
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> QMatrix:
@@ -204,25 +222,24 @@ class QMatrix:
         """Transpose with entrywise conjugation (the quaternion adjoint)."""
         return QMatrix(np.ascontiguousarray((self.data * _CONJ).swapaxes(0, 1)))
 
-    def __matmul__(self, other):
+    def _combine(self, other, fn, op: str):
+        """The operand rule of @, + and -: a QMatrix is used as is, an
+        RMatrix is promoted, and anything else gives NotImplemented."""
         if isinstance(other, RMatrix):
             other = other.promote()
         if not isinstance(other, QMatrix):
             return NotImplemented
-        if self.cols != other.rows:
-            raise ShapeMismatch(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        return QMatrix(_hmatmul(self.data, other.data))
+        self._fit(other, op)
+        return QMatrix(fn(self.data, other.data))
 
-    def __add__(self, other: QMatrix) -> QMatrix:
-        if self.shape != other.shape:
-            raise ShapeMismatch("shapes differ")
-        return QMatrix(self.data + other.data)
+    def __matmul__(self, other):
+        return self._combine(other, _hmatmul, "@")
 
-    def __sub__(self, other: QMatrix) -> QMatrix:
-        if self.shape != other.shape:
-            raise ShapeMismatch("shapes differ")
-        return QMatrix(self.data - other.data)
+    def __add__(self, other):
+        return self._combine(other, np.add, "+")
+
+    def __sub__(self, other):
+        return self._combine(other, np.subtract, "-")
 
     def scale_left(self, q: Quaternion) -> QMatrix:
         return QMatrix(_hscale(_q4(q), self.data, "left"))
@@ -230,41 +247,13 @@ class QMatrix:
     def scale_right(self, q: Quaternion) -> QMatrix:
         return QMatrix(_hscale(_q4(q), self.data, "right"))
 
-    def frobenius_norm(self) -> float:
-        return _safe_norm(self.data.ravel())
 
-    def copy(self) -> QMatrix:
-        return QMatrix(self.data.copy())
-
-    def __repr__(self) -> str:
-        return f"QMatrix({self.rows}x{self.cols})"
-
-
-class RMatrix:
+class RMatrix(_Matrix):
     """Dense real matrix.  A separate type so that realness is a guarantee,
     not a convention about small vector parts."""
 
-    __slots__ = ("data",)
-
-    def __init__(self, data):
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ShapeMismatch(f"expected a 2-d real array, got shape {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ShapeMismatch("matrix must have at least one row and column")
-        self.data = np.ascontiguousarray(arr)
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
+    __slots__ = ()
+    _ndim, _quaternion = 2, False
 
     @classmethod
     def identity(cls, n: int) -> RMatrix:
@@ -287,19 +276,8 @@ class RMatrix:
             return self.promote() @ other
         if not isinstance(other, RMatrix):
             return NotImplemented
-        if self.cols != other.rows:
-            raise ShapeMismatch(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        self._fit(other, "@")
         return RMatrix(self.data @ other.data)
-
-    def frobenius_norm(self) -> float:
-        return _safe_norm(self.data.ravel())
-
-    def copy(self) -> RMatrix:
-        return RMatrix(self.data.copy())
-
-    def __repr__(self) -> str:
-        return f"RMatrix({self.rows}x{self.cols})"
 
 
 def _entry_components(value):

@@ -38,7 +38,7 @@ class QsvdResult:
 
 def _exponent(data: np.ndarray) -> int:
     """e with max |entry| * 2**-e in [1/2, 1); 0 for the zero matrix."""
-    return int(np.frexp(np.abs(data).max())[1]) if data.size else 0
+    return int(np.frexp(np.abs(data).max())[1])
 
 
 def _lift(q: np.ndarray, core: np.ndarray) -> QMatrix:

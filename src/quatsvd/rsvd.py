@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence
+from .errors import NoConvergence, NonFiniteInput
 from .qmat import RMatrix
 
 __all__ = ["BidiagonalBand", "RealSvdResult", "bidiag_svd"]
@@ -24,7 +24,8 @@ __all__ = ["BidiagonalBand", "RealSvdResult", "bidiag_svd"]
 
 @dataclass(frozen=True)
 class BidiagonalBand:
-    """Diagonal `d` (length n) and superdiagonal `e` (length n-1)."""
+    """Diagonal `d` (length n) and superdiagonal `e` (length n-1), all
+    finite: a NaN or infinite entry raises NonFiniteInput."""
     d: np.ndarray
     e: np.ndarray
 
@@ -38,6 +39,11 @@ class BidiagonalBand:
             raise ValueError("band needs at least one diagonal entry")
         if len(e) != len(d) - 1:
             raise ValueError(f"superdiagonal length {len(e)} != {len(d) - 1}")
+        bad = np.flatnonzero(~np.isfinite(np.concatenate((d, e))))
+        if bad.size:
+            i = int(bad[0])
+            name, k = ("d", i) if i < len(d) else ("e", i - len(d))
+            raise NonFiniteInput(f"band entry {name}[{k}] is not finite")
 
     @property
     def n(self) -> int:

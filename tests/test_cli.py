@@ -131,7 +131,7 @@ def test_check_round_trip_passes(tmp_path, capsys):
     assert code == 0
     assert "PASS" in captured.out
     for name in ["reconstruction", "unitarity(U)", "unitarity(V)",
-                 "nonnegativity", "ordering", "oracle"]:
+                 "nonnegativity", "ordering", "oracle", "diagonal(S)"]:
         assert name in captured.out
 
 
@@ -152,6 +152,25 @@ def test_check_flags_corrupted_factor(tmp_path, capsys):
     assert code == 1
     assert "FAIL" in captured.out
     assert "unitarity(U)" in captured.out
+
+
+def test_check_flags_off_diagonal_sigma(tmp_path, capsys):
+    src = tmp_path / "a.qmat"
+    assert main(["gen", "--rows", "4", "--cols", "3", "--seed", "1", "--out", str(src)]) == 0
+    out = tmp_path / "svd"
+    assert main(["svd", str(src), "--out-dir", str(out)]) == 0
+
+    s = read_rmatrix(out / "S.rmat")
+    s.data[2, 0] = 5.0
+    write_rmatrix(s, out / "S.rmat")
+    capsys.readouterr()
+
+    code = main(["check", str(src), "--u", str(out / "U.qmat"),
+                 "--s", str(out / "S.rmat"), "--v", str(out / "V.qmat")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "diagonal(S): 5.000000e+00 (bound 0.000000e+00) FAIL" in captured.out
+    assert "FAIL: diagonal(S)" in captured.out
 
 
 def test_check_accepts_rank_deficient_input(tmp_path, capsys):

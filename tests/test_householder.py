@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatsvd.errors import BadTarget, ShapeMismatch
+from quatsvd.errors import BadTarget, NonFiniteInput, ShapeMismatch
 from quatsvd.householder import (Side, apply_left, apply_right, form_matrix,
                                  left_householder, right_householder,
                                  right_householder_direct)
@@ -227,6 +227,15 @@ def test_reflector_near_overflow(build):
     out = apply(h, a).data
     assert out[0, 0] == pytest.approx(a.norm(), rel=1e-14)
     assert np.abs(out.ravel()[1:]).max() <= 1e-14 * a.norm()
+
+
+@pytest.mark.parametrize("build", [left_householder, right_householder, right_householder_direct])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_reflector_rejects_non_finite_entry(build, bad):
+    data = np.random.default_rng(9).uniform(-1, 1, (5, 4))
+    data[3, 2] = data[2, 1] = bad
+    with pytest.raises(NonFiniteInput, match=r"entry 2 is not finite"):
+        build(QVector(data), e1(5))
 
 
 def test_real_example_involution():

@@ -201,6 +201,30 @@ def test_mixed_real_quaternion_products():
     eye = RMatrix.identity(3)
     assert np.allclose((a @ eye).data, a.data, atol=0.0)
     assert np.allclose((eye @ a).data, a.data, atol=0.0)
+    # +, - and @ promote a real operand; the result equals the promoted one exactly.
+    b = random_qmatrix(4, 4, rng)
+    real = RMatrix(rng.standard_normal((4, 4)))
+    for op in ("__add__", "__sub__", "__matmul__"):
+        assert np.array_equal(getattr(b, op)(real).data, getattr(b, op)(real.promote()).data)
+    assert np.array_equal((b - RMatrix.identity(4)).data[..., 1:], b.data[..., 1:])
+    assert np.array_equal((b - RMatrix.identity(4)).data[..., 0], b.data[..., 0] - np.eye(4))
+    tall = random_qmatrix(3, 5, rng)
+    for other in (RMatrix(np.ones((5, 3))), random_qmatrix(5, 3, rng)):
+        with pytest.raises(ShapeMismatch):
+            tall + other
+        with pytest.raises(ShapeMismatch):
+            tall - other
+    with pytest.raises(ShapeMismatch):
+        tall @ RMatrix(np.ones((3, 5)))
+    with pytest.raises(ShapeMismatch):
+        RMatrix(np.ones((5, 5))) @ tall
+    for other in (1.0, Quaternion(1.0), np.eye(4), b.data, "b"):
+        with pytest.raises(TypeError):
+            b + other
+        with pytest.raises(TypeError):
+            b - other
+        with pytest.raises(TypeError):
+            b @ other
 
 
 def test_random_qmatrix_range_and_determinism():
@@ -216,3 +240,17 @@ def test_degenerate_shapes_rejected():
         QMatrix.zeros(0, 2)
     with pytest.raises(ShapeMismatch):
         QVector.zeros(0)
+    bad = {
+        QVector: [(0, 4), (3, 0), (4,), (2, 2, 4), (3, 3), (3, 5)],
+        QMatrix: [(0, 2, 4), (2, 0, 4), (2, 2, 0), (2, 4), (1, 2, 2, 4), (2, 2, 3), (2, 2, 1)],
+        RMatrix: [(0, 2), (2, 0), (4,), (2, 2, 4), ()],
+    }
+    for cls, shapes in bad.items():
+        for shape in shapes:
+            with pytest.raises(ShapeMismatch):
+                cls(np.zeros(shape))
+    # the accepted layouts come back C-contiguous float64
+    for value in (QVector(np.ones((4, 3), dtype=int).T),
+                  QMatrix(np.zeros((4, 2, 3)).transpose(1, 2, 0)),
+                  RMatrix(np.arange(6).reshape(2, 3).T)):
+        assert value.data.dtype == np.float64 and value.data.flags.c_contiguous

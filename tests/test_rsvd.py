@@ -2,6 +2,7 @@
 
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quatsvd.rsvd as rsvd
-from quatsvd import BidiagonalBand, NoConvergence, RMatrix, bidiag_svd, jacobi_eigen
+from quatsvd import (BidiagonalBand, NoConvergence, NonFiniteInput, RMatrix, bidiag_svd,
+                     jacobi_eigen)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -169,6 +171,14 @@ def test_band_rejects_mismatched_superdiagonal():
         BidiagonalBand([1.0, 2.0], [1.0, 1.0])
     with pytest.raises(ValueError):
         BidiagonalBand([], [])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_band_rejects_non_finite_entries(bad):
+    for d, e, where in [([bad, 1.0], [1.0], "d[0]"), ([1.0, 2.0, bad], [1.0, bad], "d[2]"),
+                        ([1.0, 2.0, 3.0], [1.0, bad], "e[1]"), ([bad], [], "d[0]")]:
+        with pytest.raises(NonFiniteInput, match=re.escape(f"{where} is not finite")):
+            BidiagonalBand(d, e)
 
 
 def test_band_dense_and_norm():
