@@ -41,7 +41,7 @@ import numpy as np
 from .errors import NotBidiagonal
 from .householder import left_householder, right_householder
 from .qmat import (QMatrix, QVector, RMatrix, _CONJ, _HAMILTON, _LMAT_OF, _check_finite,
-                   _lmat, _q4, _rmat)
+                   _lmat, _rmat)
 
 __all__ = ["BidiagResult", "bidiagonalize", "check_bidiagonal", "extract_band"]
 
@@ -69,17 +69,23 @@ def _reflect_left(u: np.ndarray, z4: np.ndarray, block: np.ndarray) -> None:
     block[0] = _lmat(z4) @ block[0]
 
 
+# Contracts the 16 component products of x * y with the structure constants
+# to the components of x * y and expands them to their real form, in one
+# matmul: each column is +- one column of _HAMILTON.
+_HAMILTON_LMAT = _HAMILTON @ _LMAT_OF.T
+
+
 def _reflect_right(u: np.ndarray, z4: np.ndarray, block: np.ndarray) -> None:
     """``block <- block - (block u) u*``, then the pivot column
     ``block[:, 0] <- block[:, 0] z``, in place on a planar (m, 4, n)
-    block: t = block u is one gemm over the columns followed by a 16 -> 4
-    contraction with the structure constants _HAMILTON, and the rank-4
-    update ``t conj(u).T`` is one gemm of the 4m x 4 real form of t
+    block: t = block u is one gemm over the columns followed by one
+    contraction with _HAMILTON_LMAT to the 4m x 4 real form of t, and
+    the rank-4 update ``t conj(u).T`` is one gemm of that real form
     against ``(u * _CONJ).T``."""
     m, _, n = block.shape
     flat = block.reshape(4 * m, n)
-    t = (flat @ u).reshape(m, 16) @ _HAMILTON
-    flat -= _lmat(t).reshape(4 * m, 4) @ (u * _CONJ).T
+    tmat = ((flat @ u).reshape(m, 16) @ _HAMILTON_LMAT).reshape(4 * m, 4)
+    flat -= tmat @ (u * _CONJ).T
     block[:, :, 0] = block[:, :, 0] @ _rmat(z4).T
 
 
@@ -108,13 +114,12 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
     for k in range(cols):
         h = left_householder(QVector(work[k:, :, k]), e1[:rows - k])
         if not h.is_identity:
-            zeta = _q4(h.zeta)
-            _reflect_left(h.u.data, zeta * _CONJ, work[k:, :, k:])
-            lrefl.append((k, h.u.data, zeta))
+            _reflect_left(h.u.data, h.zeta4 * _CONJ, work[k:, :, k:])
+            lrefl.append((k, h.u.data, h.zeta4))
         if k <= cols - 2:
             g = right_householder(QVector(work[k, :, k + 1:].T), e1[:cols - 1 - k])
             if not g.is_identity:
-                z = _q4(g.zeta) * _CONJ
+                z = g.zeta4 * _CONJ
                 _reflect_right(g.u.data, z, work[k:, :, k + 1:])
                 rrefl.append((k + 1, g.u.data, z))
 

@@ -34,15 +34,26 @@ class Side(enum.Enum):
     RIGHT = "right"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class HouseholderReflector:
+    """A built reflector: `u`, the unit scalar zeta as the (4,) component
+    array `zeta4`, and the side.  The scalar may be given as a Quaternion
+    too; `zeta` and `z` build Quaternions only when read."""
     u: QVector
-    zeta: Quaternion
+    zeta4: np.ndarray
     side: Side
+
+    def __post_init__(self):
+        if isinstance(self.zeta4, Quaternion):
+            object.__setattr__(self, "zeta4", _q4(self.zeta4))
 
     @property
     def is_identity(self) -> bool:
-        return not self.u.data.any()
+        return not np.count_nonzero(self.u.data)
+
+    @property
+    def zeta(self) -> Quaternion:
+        return Quaternion(*self.zeta4.tolist())
 
     @property
     def z(self) -> Quaternion:
@@ -65,18 +76,37 @@ def _check_target(n: int, v) -> np.ndarray:
     if len(v) != n:
         raise ShapeMismatch(f"vector length {n} does not match target length {len(v)}")
     norm = math.sqrt(v.dot(v))
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:  # rejects a NaN norm too
         raise BadTarget(f"target vector must have unit norm, got {norm!r}")
     return v
 
 
-def _finite_norm(a: QVector) -> float:
-    """``norm(a)``, or NonFiniteInput naming the first NaN or infinite entry
-    when the norm is not finite, so a finite `a` costs no extra pass."""
-    alpha = a.norm()
-    if not math.isfinite(alpha):
-        _check_finite(a)
-    return alpha
+# Sums of squares a build takes as they come.  Inside this range no step of
+# the construction overflows, and a square that underflows is below 2**-54
+# of the sum, so its rounding costs less than 2**-107 of it.
+_SQ_MIN, _SQ_MAX = 2.0 ** -968, 2.0 ** 968
+
+
+def _scaled_norm(a: QVector) -> tuple[np.ndarray, float]:
+    """``(data, alpha)``: the components of `a` and their norm from one dot
+    product.  Only a sum of squares outside [_SQ_MIN, _SQ_MAX] costs more:
+    NonFiniteInput for a NaN or infinite entry, alpha = 0 for a zero `a`,
+    and otherwise the components times 4**k, for which every later step of
+    a build is exact, so u and zeta come out as from `a`."""
+    data = a.data
+    flat = data.ravel()
+    with np.errstate(over="ignore"):
+        sq = flat.dot(flat)
+    if _SQ_MIN <= sq <= _SQ_MAX:
+        return data, math.sqrt(sq)
+    _check_finite(a)
+    biggest = np.abs(flat).max()
+    if biggest == 0.0:
+        return data, 0.0
+    # Brings the largest component into [0.5, 2).
+    data = np.ldexp(data, -2 * (int(np.frexp(biggest)[1]) // 2))
+    flat = data.ravel()
+    return data, math.sqrt(flat.dot(flat))
 
 
 def _reflector(a_data: np.ndarray, v: np.ndarray, alpha: float):
@@ -85,7 +115,7 @@ def _reflector(a_data: np.ndarray, v: np.ndarray, alpha: float):
     if alpha == 0.0:
         return np.zeros_like(a_data), np.array([1.0, 0.0, 0.0, 0.0])
 
-    t = a_data.T @ v  # sum_i a_i v_i for real v_i, no conjugation
+    t = v.dot(a_data)  # sum_i a_i v_i for real v_i, no conjugation
     r = math.hypot(*t.tolist())
     # Treat a denormal projection as zero so we never divide by it.
     if r <= len(a_data) * EPS * alpha:
@@ -110,8 +140,10 @@ def left_householder(a: QVector, v) -> HouseholderReflector:
     yields the identity reflector (zero u, zeta = 1), and a NaN or infinite
     entry raises NonFiniteInput.
     """
-    u, zeta4 = _reflector(a.data, _check_target(len(a), v), _finite_norm(a))
-    return HouseholderReflector(QVector(u), Quaternion(*zeta4.tolist()), Side.LEFT)
+    v = _check_target(len(a), v)
+    data, alpha = _scaled_norm(a)
+    u, zeta4 = _reflector(data, v, alpha)
+    return HouseholderReflector(QVector(u), zeta4, Side.LEFT)
 
 
 def right_householder(a_row: QVector, v) -> HouseholderReflector:
@@ -123,8 +155,10 @@ def right_householder(a_row: QVector, v) -> HouseholderReflector:
     is its conjugate transpose, which shares the same ``u`` and carries
     the conjugated scalar.
     """
-    u, zeta4 = _reflector(a_row.data * _CONJ, _check_target(len(a_row), v), _finite_norm(a_row))
-    return HouseholderReflector(QVector(u), Quaternion(*(zeta4 * _CONJ).tolist()), Side.RIGHT)
+    v = _check_target(len(a_row), v)
+    data, alpha = _scaled_norm(a_row)
+    u, zeta4 = _reflector(data * _CONJ, v, alpha)
+    return HouseholderReflector(QVector(u), zeta4 * _CONJ, Side.RIGHT)
 
 
 def right_householder_direct(a_row: QVector, v) -> HouseholderReflector:
@@ -137,11 +171,11 @@ def right_householder_direct(a_row: QVector, v) -> HouseholderReflector:
     ``u @ conj(u).T`` (and hence the transformation) coincides.
     """
     v = _check_target(len(a_row), v)
-    alpha = _finite_norm(a_row)
+    data, alpha = _scaled_norm(a_row)
     if alpha == 0.0:
         return HouseholderReflector(QVector.zeros(len(a_row)), Quaternion(1.0), Side.RIGHT)
 
-    t = a_row.data.T @ v
+    t = v.dot(data)
     r = math.hypot(*t)
     if r <= len(a_row) * EPS * alpha:
         zeta4 = np.array([1.0, 0.0, 0.0, 0.0])
@@ -149,8 +183,8 @@ def right_householder_direct(a_row: QVector, v) -> HouseholderReflector:
     else:
         zeta4 = -t / r
     mu = math.sqrt(alpha) * math.sqrt(alpha + r)  # no overflow of alpha**2
-    u = (np.outer(v * alpha, zeta4 * _CONJ) - a_row.data * _CONJ) / mu
-    return HouseholderReflector(QVector(u), Quaternion(*zeta4), Side.RIGHT)
+    u = (np.outer(v * alpha, zeta4 * _CONJ) - data * _CONJ) / mu
+    return HouseholderReflector(QVector(u), zeta4, Side.RIGHT)
 
 
 def _apply_left_block(u_data, z4, block):
@@ -181,7 +215,7 @@ def apply_left(h: HouseholderReflector, target):
         raise ShapeMismatch(f"reflector length {len(h)} does not match {target.rows} rows")
     if h.is_identity:
         return target.copy()
-    return QMatrix(_apply_left_block(h.u.data, _q4(h.z), target.data))
+    return QMatrix(_apply_left_block(h.u.data, h.zeta4 * _CONJ, target.data))
 
 
 def apply_right(h: HouseholderReflector, target):
@@ -195,7 +229,7 @@ def apply_right(h: HouseholderReflector, target):
         raise ShapeMismatch(f"reflector length {len(h)} does not match {target.cols} columns")
     if h.is_identity:
         return target.copy()
-    return QMatrix(_apply_right_block(h.u.data, _q4(h.z), target.data))
+    return QMatrix(_apply_right_block(h.u.data, h.zeta4 * _CONJ, target.data))
 
 
 def form_matrix(h: HouseholderReflector) -> QMatrix:

@@ -318,7 +318,7 @@ def test_reduction_avoids_interleaved_hamilton_kernels():
               for alias in node.names}
     assert not names & {"_hmatmul", "_apply_left_block", "_apply_right_block",
                         "Quaternion", "_conj", "_MUL", "_FROM_T", "_IDX", "_SIGN_L",
-                        "_SIGN_R", "_hproduct"}
+                        "_SIGN_R", "_hproduct", "_q4", "zeta"}
 
 
 # --- contract properties ------------------------------------------------------

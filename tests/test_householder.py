@@ -1,13 +1,17 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatsvd.errors import BadTarget, NonFiniteInput, ShapeMismatch
-from quatsvd.householder import (Side, apply_left, apply_right, form_matrix,
-                                 left_householder, right_householder,
+from quatsvd.householder import (HouseholderReflector, Side, apply_left, apply_right,
+                                 form_matrix, left_householder, right_householder,
                                  right_householder_direct)
 from quatsvd.qmat import QMatrix, QVector, random_qmatrix
 from quatsvd.quat import I, J, Quaternion
+
+BUILDERS = [left_householder, right_householder, right_householder_direct]
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 SQRT2 = np.sqrt(2.0)
@@ -91,6 +95,9 @@ def test_bad_targets_rejected():
         left_householder(a, np.eye(3))  # not one-dimensional
     with pytest.raises(ShapeMismatch):
         left_householder(a, e1(4))
+    for build in BUILDERS:
+        with pytest.raises(BadTarget):
+            build(a, np.array([np.nan, 0.0, 0.0]))  # a NaN norm
 
 
 def test_target_as_real_qvector_accepted():
@@ -217,7 +224,7 @@ def test_direct_right_formula_matches_reduction(seed, n):
     assert np.linalg.norm(out.data - target) <= 1e-12 * a.norm()
 
 
-@pytest.mark.parametrize("build", [left_householder, right_householder, right_householder_direct])
+@pytest.mark.parametrize("build", BUILDERS)
 def test_reflector_near_overflow(build):
     # alpha * (alpha + r) overflows here; the reflector must not.
     a = QVector(np.random.default_rng(8).uniform(-1, 1, (4, 4)) * 1e300)
@@ -229,7 +236,58 @@ def test_reflector_near_overflow(build):
     assert np.abs(out.ravel()[1:]).max() <= 1e-14 * a.norm()
 
 
-@pytest.mark.parametrize("build", [left_householder, right_householder, right_householder_direct])
+@pytest.mark.parametrize("build", BUILDERS)
+def test_reflector_of_an_overflowing_norm(build):
+    # Every entry is finite but norm(a) = 2.1e308 is not.
+    a = QVector(np.array([[1.5e308, 0.0, 0.0, 0.0]] * 2))
+    h = build(a, [1.0, 0.0])
+    assert np.isfinite(h.u.data).all()
+    assert h.u.norm() ** 2 == pytest.approx(2.0, rel=1e-15)
+    half = QMatrix(a.data[:, np.newaxis] / 2)  # apply_left overflows in u* half
+    out = (form_matrix(h) @ half if h.side is Side.LEFT
+           else QMatrix(half.data.transpose(1, 0, 2)) @ form_matrix(h)).data.reshape(-1, 4)
+    norm = QVector(a.data / 2).norm()
+    assert out[0, 0] == pytest.approx(norm, rel=1e-14)
+    assert np.abs(out.ravel()[1:]).max() <= 1e-14 * norm
+
+
+@pytest.mark.parametrize("build", BUILDERS)
+@pytest.mark.parametrize("k", [-500, -250, 250, 500])
+def test_rescaled_norm_changes_no_bit(build, k):
+    # Sums of squares near 2**(4k) take the rescaled path, sums near 1 the
+    # direct one.  Largest entries in [0.5, 1) and in [1, 2) have even and
+    # odd exponents.
+    rng = np.random.default_rng(10)
+    for n in (1, 2, 5, 17):
+        v = rng.uniform(-1, 1, n)
+        for target, top in [(e1(n), 1.0), (e1(n), 2.0), (v / np.linalg.norm(v), 2.0)]:
+            data = rng.uniform(-top, top, (n, 4))
+            h, scaled = build(QVector(data), target), build(QVector(data * 4.0 ** k), target)
+            assert np.array_equal(scaled.u.data, h.u.data)
+            assert np.array_equal(scaled.zeta4, h.zeta4)
+
+
+def test_reflector_contract():
+    u = np.zeros((3, 4))
+    u[2, 3] = 1.0  # the only nonzero component, off the pivot
+    h = HouseholderReflector(QVector(u), Quaternion(0, 1, 0, 0), Side.LEFT)
+    assert not h.is_identity
+    assert HouseholderReflector(QVector.zeros(3), Quaternion(1), Side.LEFT).is_identity
+    assert h.zeta == Quaternion(0, 1, 0, 0) and h.z == Quaternion(0, -1, 0, 0)
+    assert len(h) == 3
+    with pytest.raises(FrozenInstanceError):
+        h.side = Side.RIGHT
+
+    rng = np.random.default_rng(11)
+    for build in BUILDERS:
+        built = build(random_vector(5, rng), e1(5))
+        assert len(built) == 5
+        assert isinstance(built.zeta, Quaternion) and isinstance(built.z, Quaternion)
+        assert built.zeta == Quaternion(*built.zeta4)
+        assert built.z == built.zeta.conjugate()
+
+
+@pytest.mark.parametrize("build", BUILDERS)
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_reflector_rejects_non_finite_entry(build, bad):
     data = np.random.default_rng(9).uniform(-1, 1, (5, 4))
