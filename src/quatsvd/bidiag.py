@@ -13,18 +13,26 @@ reflectors act on rows and columns >= k+1 and the right ones on rows
 >= k+1 and columns >= k+2.
 
 The work runs on a planar (rows, 4, cols) copy: the four components of
-a row sit in four consecutive real rows, so any row-and-column block
+a row sit in four consecutive real rows, so a block of whole rows
 reshapes without a copy to a (4 * rows, cols) real matrix.  Each
-reflector is applied once, to the work block, as two real gemms against
-the real form of u; its unit scalar, which makes the pivot real, then
-multiplies the pivot row (left) or column (right) only.  D (I - u u*),
-D the identity but for the scalar on the pivot, is unitary and maps the
-column onto a real alpha * e1, as LAPACK's xLARFG makes beta real
-through a complex tau.  The loop only records the reflectors; L and R
-are formed after it, the way LAPACK's xORGBR does, by applying panels
-of reflectors in compact-WY form ``I - V T V*`` (Schreiber & Van Loan
-1989) backward to the diagonal of the scalars, so the factors cost real
-gemms of panel width rather than one rank-4 update per reflector.
+reflector is applied once, as two real gemms against the real form of
+u; its unit scalar, which makes the pivot real, then multiplies the
+pivot row (left) or column (right) only.  D (I - u u*), D the identity
+but for the scalar on the pivot, is unitary and maps the column onto a
+real alpha * e1, as LAPACK's xLARFG makes beta real through a complex
+tau.  The loop only records the reflectors; L and R are formed after
+it, the way LAPACK's xORGBR does, by applying panels of reflectors in
+compact-WY form ``I - V T V*`` (Schreiber & Van Loan 1989) backward to
+the diagonal of the scalars, so the factors cost real gemms of panel
+width rather than one rank-4 update per reflector.
+
+The trailing block of step k is a strided view of the work copy, and
+numpy runs an in-place ufunc on a strided 2-D view one row at a time,
+4-5x slower than on contiguous memory at 48 or 128 columns.  So each panel
+of _NB steps copies its trailing block into a C-contiguous buffer once,
+runs its steps on whole rows of that buffer, and copies it back.  The
+kernels work at the buffer's full width; the columns left of a step's
+pivot get an exact zero update, so they keep their values bit for bit.
 
 Tall-or-square input yields an upper bidiagonal B.  A wide matrix is
 reduced in the same pass, as LAPACK's xGEBRD does: the work copy holds
@@ -56,17 +64,21 @@ class BidiagResult:
     snap_residue: float
 
 
-def _reflect_left(u: np.ndarray, z4: np.ndarray, block: np.ndarray) -> None:
-    """``block <- block - u (u* block)``, then the pivot row
-    ``block[0] <- z block[0]``, in place; `block` is planar (m, 4, n), so
-    its (4m, n) reshape is a view and each contraction over the m
-    quaternion rows is one real gemm against the 4m x 4 real form N of u
-    (the real form of conj(u).T is N.T)."""
-    m, _, n = block.shape
-    flat = block.reshape(4 * m, n)
+def _reflect_left(u: np.ndarray, z4: np.ndarray, rows: np.ndarray, c0: int = 0) -> None:
+    """``rows <- rows - u (u* rows)`` on the columns from c0 on, then the
+    pivot row ``rows[0] <- z rows[0]`` there, in place; `rows` is planar
+    (m, 4, n) and C-contiguous, so its (4m, n) reshape is a view and each
+    contraction over the m quaternion rows is one real gemm against the
+    4m x 4 real form N of u (the real form of conj(u).T is N.T).  The
+    gemms run at full width; the columns left of c0 get an exact zero
+    update, so they keep their values bit for bit."""
+    m, _, n = rows.shape
+    flat = rows.reshape(4 * m, n)
     nmat = _lmat(u).reshape(4 * m, 4)
-    flat -= nmat @ (nmat.T @ flat)
-    block[0] = _lmat(z4) @ block[0]
+    w = nmat.T @ flat
+    w[:, :c0] = 0.0
+    flat -= nmat @ w
+    rows[0, :, c0:] = _lmat(z4) @ rows[0, :, c0:]
 
 
 # Contracts the 16 component products of x * y with the structure constants
@@ -75,18 +87,21 @@ def _reflect_left(u: np.ndarray, z4: np.ndarray, block: np.ndarray) -> None:
 _HAMILTON_LMAT = _HAMILTON @ _LMAT_OF.T
 
 
-def _reflect_right(u: np.ndarray, z4: np.ndarray, block: np.ndarray) -> None:
-    """``block <- block - (block u) u*``, then the pivot column
-    ``block[:, 0] <- block[:, 0] z``, in place on a planar (m, 4, n)
-    block: t = block u is one gemm over the columns followed by one
-    contraction with _HAMILTON_LMAT to the 4m x 4 real form of t, and
-    the rank-4 update ``t conj(u).T`` is one gemm of that real form
-    against ``(u * _CONJ).T``."""
-    m, _, n = block.shape
-    flat = block.reshape(4 * m, n)
+def _reflect_right(u: np.ndarray, z4: np.ndarray, rows: np.ndarray, c0: int = 0) -> None:
+    """``rows <- rows - (rows u) u*`` on the columns from c0 on, then the
+    pivot column ``rows[:, c0] <- rows[:, c0] z``, in place on a planar,
+    C-contiguous (m, 4, n) block: u is padded with exact zeros in front
+    to length n, so the columns left of c0 get an exact zero update.
+    t = rows u is one gemm over the columns followed by one contraction
+    with _HAMILTON_LMAT to the 4m x 4 real form of t, and the rank-4
+    update ``t conj(u).T`` is one gemm of that real form against
+    ``(u * _CONJ).T``."""
+    m, _, n = rows.shape
+    flat = rows.reshape(4 * m, n)
+    u = np.concatenate((np.zeros((c0, 4)), u))
     tmat = ((flat @ u).reshape(m, 16) @ _HAMILTON_LMAT).reshape(4 * m, 4)
     flat -= tmat @ (u * _CONJ).T
-    block[:, :, 0] = block[:, :, 0] @ _rmat(z4).T
+    rows[:, :, c0] = rows[:, :, c0] @ _rmat(z4).T
 
 
 def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
@@ -111,17 +126,24 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
     # left-multiplies the row at `offset` by s, a (4,) array.
     lrefl, rrefl = [], []
 
-    for k in range(cols):
-        h = left_householder(QVector(work[k:, :, k]), e1[:rows - k])
-        if not h.is_identity:
-            _reflect_left(h.u.data, h.zeta4 * _CONJ, work[k:, :, k:])
-            lrefl.append((k, h.u.data, h.zeta4))
-        if k <= cols - 2:
-            g = right_householder(QVector(work[k, :, k + 1:].T), e1[:cols - 1 - k])
-            if not g.is_identity:
-                z = g.zeta4 * _CONJ
-                _reflect_right(g.u.data, z, work[k:, :, k + 1:])
-                rrefl.append((k + 1, g.u.data, z))
+    for k0 in range(0, cols, _NB):
+        # The panel's trailing block, C-contiguous, so the rows from step k
+        # on are contiguous too.  For k0 = 0 it is the work array itself.
+        sub = np.ascontiguousarray(work[k0:, :, k0:])
+        for k in range(k0, min(k0 + _NB, cols)):
+            i = k - k0
+            h = left_householder(QVector(sub[i:, :, i]), e1[:rows - k])
+            if not h.is_identity:
+                _reflect_left(h.u.data, h.zeta4 * _CONJ, sub[i:], i)
+                lrefl.append((k, h.u.data, h.zeta4))
+            if k <= cols - 2:
+                g = right_householder(QVector(sub[i, :, i + 1:].T), e1[:cols - 1 - k])
+                if not g.is_identity:
+                    z = g.zeta4 * _CONJ
+                    _reflect_right(g.u.data, z, sub[i:], i + 1)
+                    rrefl.append((k + 1, g.u.data, z))
+        if k0:
+            work[k0:, :, k0:] = sub
 
     band, residue = _snap_band(work)
     left = right = None
@@ -162,10 +184,14 @@ def _snap_band(work: np.ndarray) -> tuple[np.ndarray, float]:
     return np.where(in_band, work[:, 0, :], 0.0), float(np.ldexp(residue, exponent))
 
 
-# Reflectors per compact-WY panel.  Forming 128 x 128 and 256 x 256 factors,
-# widths 12 to 24 measured within 5 % of each other and 8 and 32 10-20 %
-# slower: wider panels spend more on T and the zero triangle of V,
-# narrower ones on per-panel overhead and gemms of width 4 * nb.
+# Steps per panel, in the reduction and in the factors.  Forming 128 x 128
+# and 256 x 256 factors, widths 12 to 24 measured within 5 % of each other
+# and 8 and 32 10-20 % slower: wider panels spend more on T and the zero
+# triangle of V, narrower ones on per-panel overhead and gemms of width
+# 4 * nb.  Against the reduction on strided views, panels of 4 steps cut
+# the loop at 128 x 128 by 17 % and panels of 8 to 32 by 21 %; at 48 x 48
+# all four cut 6-8 %.  Wider panels update more columns left of the
+# pivot, narrower ones copy the trailing block more often.
 _NB = 16
 
 

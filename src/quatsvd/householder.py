@@ -65,7 +65,8 @@ class HouseholderReflector:
 
 
 def _check_target(n: int, v) -> np.ndarray:
-    """`v` as a float64 array, checked to be a real unit vector of length n."""
+    """`v` as a float64 array, checked to be a real vector of length n; its
+    unit norm is checked by _scaled_norm."""
     if isinstance(v, QVector):
         if np.any(v.data[:, 1:]):
             raise BadTarget("target vector must have exactly real entries")
@@ -75,9 +76,6 @@ def _check_target(n: int, v) -> np.ndarray:
         raise BadTarget(f"target vector must be one-dimensional, got shape {v.shape}")
     if len(v) != n:
         raise ShapeMismatch(f"vector length {n} does not match target length {len(v)}")
-    norm = math.sqrt(v.dot(v))
-    if not abs(norm - 1.0) <= 1e-12:  # rejects a NaN norm too
-        raise BadTarget(f"target vector must have unit norm, got {norm!r}")
     return v
 
 
@@ -87,9 +85,11 @@ def _check_target(n: int, v) -> np.ndarray:
 _SQ_MIN, _SQ_MAX = 2.0 ** -968, 2.0 ** 968
 
 
-def _scaled_norm(a: QVector) -> tuple[np.ndarray, float]:
+def _scaled_norm(a: QVector, v: np.ndarray) -> tuple[np.ndarray, float]:
     """``(data, alpha)``: the components of `a` and their norm from one dot
-    product.  Only a sum of squares outside [_SQ_MIN, _SQ_MAX] costs more:
+    product.  Raises BadTarget unless the target `v` has unit norm; its
+    square may overflow too, so it is taken under the same errstate.
+    Only a sum of squares outside [_SQ_MIN, _SQ_MAX] costs more:
     NonFiniteInput for a NaN or infinite entry, alpha = 0 for a zero `a`,
     and otherwise the components times 4**k, for which every later step of
     a build is exact, so u and zeta come out as from `a`."""
@@ -97,6 +97,9 @@ def _scaled_norm(a: QVector) -> tuple[np.ndarray, float]:
     flat = data.ravel()
     with np.errstate(over="ignore"):
         sq = flat.dot(flat)
+        v_sq = v.dot(v)
+    if not abs(math.sqrt(v_sq) - 1.0) <= 1e-12:  # rejects a NaN norm too
+        raise BadTarget(f"target vector must have unit norm, got {math.sqrt(v_sq)!r}")
     if _SQ_MIN <= sq <= _SQ_MAX:
         return data, math.sqrt(sq)
     _check_finite(a)
@@ -141,7 +144,7 @@ def left_householder(a: QVector, v) -> HouseholderReflector:
     entry raises NonFiniteInput.
     """
     v = _check_target(len(a), v)
-    data, alpha = _scaled_norm(a)
+    data, alpha = _scaled_norm(a, v)
     u, zeta4 = _reflector(data, v, alpha)
     return HouseholderReflector(QVector(u), zeta4, Side.LEFT)
 
@@ -156,7 +159,7 @@ def right_householder(a_row: QVector, v) -> HouseholderReflector:
     the conjugated scalar.
     """
     v = _check_target(len(a_row), v)
-    data, alpha = _scaled_norm(a_row)
+    data, alpha = _scaled_norm(a_row, v)
     u, zeta4 = _reflector(data * _CONJ, v, alpha)
     return HouseholderReflector(QVector(u), zeta4 * _CONJ, Side.RIGHT)
 
@@ -171,7 +174,7 @@ def right_householder_direct(a_row: QVector, v) -> HouseholderReflector:
     ``u @ conj(u).T`` (and hence the transformation) coincides.
     """
     v = _check_target(len(a_row), v)
-    data, alpha = _scaled_norm(a_row)
+    data, alpha = _scaled_norm(a_row, v)
     if alpha == 0.0:
         return HouseholderReflector(QVector.zeros(len(a_row)), Quaternion(1.0), Side.RIGHT)
 

@@ -166,11 +166,11 @@ def reflector_bidiagonalize(a: QMatrix):
     return left, work.data[..., 0], right
 
 
-# 15, 16, 17 and 33 cross the edges of the 16-reflector compact-WY panels
-# in which the factors are formed.
+# 15, 16, 17 and 33 cross the edges of the 16-step panels in which the
+# work block is repacked and the factors are formed.
 @pytest.mark.parametrize("shape", [(8, 8), (12, 5), (5, 12), (1, 9), (9, 1), (12, 12),
                                    (15, 15), (16, 16), (17, 17), (33, 33), (40, 17),
-                                   (17, 40), (40, 40)])
+                                   (17, 40), (40, 40), (33, 20), (20, 33)])
 @pytest.mark.parametrize("rank", [None, 1, 3, 5])
 def test_matches_reflector_api_reference(shape, rank):
     r, c = shape
@@ -192,13 +192,14 @@ def test_matches_reflector_api_reference(shape, rank):
         assert np.abs(res.right.data[:, :n] - right.data[:, :n]).max() <= unit
 
 
-def _block_diagonal_with_zero(rng):
-    """20 x 20 with a 7 x 7 block, a zero 1 x 1 block, then a 12 x 12 block:
-    both reflectors of step 7 and the right one of step 6 are identities,
-    inside the first compact-WY panel of 16 recorded reflectors."""
-    data = np.zeros((20, 20, 4))
-    data[:7, :7] = rng.standard_normal((7, 7, 4))
-    data[8:, 8:] = rng.standard_normal((12, 12, 4))
+def _block_diagonal_with_zero(rng, at=7, n=20):
+    """n x n with an `at` x `at` block, a zero 1 x 1 block, then the rest:
+    both reflectors of step `at` and the right one of step `at` - 1 are
+    identities.  The default puts them inside the first compact-WY panel
+    of 16 recorded reflectors."""
+    data = np.zeros((n, n, 4))
+    data[:at, :at] = rng.standard_normal((at, at, 4))
+    data[at + 1:, at + 1:] = rng.standard_normal((n - at - 1, n - at - 1, 4))
     return QMatrix(data)
 
 
@@ -214,13 +215,17 @@ def test_formed_factors_are_unitary(shape):
 
 
 def _count_reflections(monkeypatch):
+    """Records (kernel, block shape, c0) of every call, after checking that
+    the block is C-contiguous: the reduction runs on a per-panel buffer so
+    that its in-place updates never see a strided view."""
     calls = []
     for name in ("_reflect_left", "_reflect_right"):
         original = getattr(bidiag, name)
 
-        def counted(u, z4, block, name=name, original=original):
-            calls.append((name, block.shape))
-            return original(u, z4, block)
+        def counted(u, z4, rows, c0=0, name=name, original=original):
+            assert rows.flags.c_contiguous
+            calls.append((name, rows.shape, c0))
+            return original(u, z4, rows, c0)
         monkeypatch.setattr(bidiag, name, counted)
     return calls
 
@@ -228,29 +233,60 @@ def _count_reflections(monkeypatch):
 @pytest.mark.parametrize("accumulate", [True, False])
 def test_each_reflector_is_applied_once_to_the_work_block(monkeypatch, accumulate):
     calls = _count_reflections(monkeypatch)
-    r, c = 9, 6
-    bidiagonalize(random_qmatrix(r, c, np.random.default_rng(3)), accumulate=accumulate)
-    expect = []
-    for k in range(c):
-        expect.append(("_reflect_left", (r - k, 4, c - k)))
-        if k <= c - 2:
-            expect.append(("_reflect_right", (r - k, 4, c - 1 - k)))
-    assert calls == expect
+    # 40 x 20 crosses the edge of the 16-step panels at which the reduction
+    # repacks the trailing block; 9 x 6 stays inside the first panel.
+    for r, c in [(9, 6), (40, 20)]:
+        calls.clear()
+        bidiagonalize(random_qmatrix(r, c, np.random.default_rng(3)), accumulate=accumulate)
+        expect = []
+        for k in range(c):
+            # Rows k.. of the buffer that holds the panel's trailing block.
+            k0 = 16 * (k // 16)
+            expect.append(("_reflect_left", (r - k, 4, c - k0), k - k0))
+            if k <= c - 2:
+                expect.append(("_reflect_right", (r - k, 4, c - k0), k - k0 + 1))
+        assert calls == expect
 
 
 def test_identity_reflectors_inside_a_panel(monkeypatch):
     calls = _count_reflections(monkeypatch)
-    a = _block_diagonal_with_zero(np.random.default_rng(8))
-    res = bidiagonalize(a)
-    names = [name for name, _ in calls]
-    # Steps 0..19 minus the identities at step 7 (left, right) and 6 (right).
-    assert names.count("_reflect_left") == 19
-    assert names.count("_reflect_right") == 19 - 2
-    left, band, right = reflector_bidiagonalize(a)
-    unit = 64 * 20 * EPS
-    assert np.abs(res.bidiagonal.data - band).max() <= unit * a.frobenius_norm()
-    assert np.abs(res.left.data - left.data).max() <= unit
-    assert np.abs(res.right.data - right.data).max() <= unit
+    # Identities inside the first panel, at its last step and at the first
+    # step of the second.
+    for at, n in [(7, 20), (15, 24), (16, 24)]:
+        calls.clear()
+        a = _block_diagonal_with_zero(np.random.default_rng(8), at, n)
+        res = bidiagonalize(a)
+        names = [name for name, _, _ in calls]
+        # Steps 0..n-1 minus the identities at step `at` (left, right) and
+        # `at` - 1 (right).
+        assert names.count("_reflect_left") == n - 1
+        assert names.count("_reflect_right") == n - 1 - 2
+        left, band, right = reflector_bidiagonalize(a)
+        unit = 64 * n * EPS
+        assert np.abs(res.bidiagonal.data - band).max() <= unit * a.frobenius_norm()
+        assert np.abs(res.left.data - left.data).max() <= unit
+        assert np.abs(res.right.data - right.data).max() <= unit
+
+
+@pytest.mark.parametrize("c0", [1, 3])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_padded_update_leaves_the_columns_left_of_c0_exact(side, c0):
+    """The kernels run at the buffer's full width; the columns left of c0
+    get an exact zero update, and the others what the kernel gives on the
+    columns from c0 on alone."""
+    rng = np.random.default_rng(13 + c0)
+    kernel = bidiag._reflect_left if side == "left" else bidiag._reflect_right
+    for _ in range(10):
+        block = rng.standard_normal((6, 4, 7)) * 10.0 ** rng.uniform(-3, 3, (6, 4, 7))
+        u = rng.standard_normal((6 if side == "left" else 7 - c0, 4))
+        u *= np.sqrt(2.0) / np.linalg.norm(u)
+        z4 = rng.standard_normal(4)
+        z4 /= np.linalg.norm(z4)
+        out, alone = block.copy(), block[:, :, c0:].copy()
+        kernel(u, z4, out, c0)
+        kernel(u, z4, alone)
+        assert np.array_equal(out[:, :, :c0], block[:, :, :c0])
+        assert np.allclose(out[:, :, c0:], alone, rtol=0, atol=64 * EPS * np.abs(block).max())
 
 
 def _identity_left_reflector_under_a_superdiagonal():

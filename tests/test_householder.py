@@ -100,6 +100,15 @@ def test_bad_targets_rejected():
             build(a, np.array([np.nan, 0.0, 0.0]))  # a NaN norm
 
 
+@pytest.mark.parametrize("build", BUILDERS)
+@pytest.mark.parametrize("bad", [1e200, np.inf, np.nan])
+def test_huge_target_is_a_bad_target_not_an_overflow(build, bad):
+    """The target's square overflows beyond about 1.3e154; that must end in
+    BadTarget, not in the RuntimeWarning the test filter makes an error."""
+    with pytest.raises(BadTarget):
+        build(QVector(np.ones((2, 4))), np.array([bad, 0.0]))
+
+
 def test_target_as_real_qvector_accepted():
     a = random_vector(2, np.random.default_rng(2))
     v = QVector.from_quaternions([Quaternion(1), Quaternion(0)])
