@@ -1,14 +1,13 @@
 """Reduction of a quaternion matrix to a real bidiagonal matrix.
 
 ``bidiagonalize`` alternates left and right Householder reflectors: the
-left one sends the trailing part of column k to ``alpha * e1`` (alpha a
-nonnegative real), the right one does the same to the trailing part of
-row k.  Every value the construction guarantees to vanish — entries
-below/right of the band and the vector parts of band entries — is
-written as exact zero, with the largest discarded magnitude reported as
-``snap_residue``, so the returned B is real and banded by construction
-rather than up to rounding noise.  The snap happens once, after the
-loop: no later step reads a value it drops, since after step k the left
+left one sends the trailing part of column k to a multiple of e1, the
+right one does the same to the trailing part of row k.  Every entry the
+construction guarantees to vanish, below or right of the band, is
+written as exact zero, with the largest discarded norm reported as
+``snap_residue``, so the returned B is banded by construction rather
+than up to rounding noise.  The snap happens once, after the loop: no
+later step reads a value it drops, since after step k the left
 reflectors act on rows and columns >= k+1 and the right ones on rows
 >= k+1 and columns >= k+2.
 
@@ -16,15 +15,24 @@ The work runs on a planar (rows, 4, cols) copy: the four components of
 a row sit in four consecutive real rows, so a block of whole rows
 reshapes without a copy to a (4 * rows, cols) real matrix.  Each
 reflector is applied once, as two real gemms against the real form of
-u; its unit scalar, which makes the pivot real, then multiplies the
-pivot row (left) or column (right) only.  D (I - u u*), D the identity
-but for the scalar on the pivot, is unitary and maps the column onto a
-real alpha * e1, as LAPACK's xLARFG makes beta real through a complex
-tau.  The loop only records the reflectors; L and R are formed after
-it, the way LAPACK's xORGBR does, by applying panels of reflectors in
-compact-WY form ``I - V T V*`` (Schreiber & Van Loan 1989) backward to
-the diagonal of the scalars, so the factors cost real gemms of panel
-width rather than one rank-4 update per reflector.
+u, and bare: the loop applies ``I - u u*`` and never the builder's unit
+scalar, which would only make the pivot real.  Each scalar commutes
+with every later reflector, and a unit factor on a builder's input
+changes only its scalar, not its ``u u*`` (but for a projection below
+rounding, where the builder fixes zeta = 1 and either reflector is
+valid).  So the loop yields ``B_bare = H A G``, and ``D B_bare S`` is
+real and nonnegative for diagonal unitary D and S: B is the entrywise
+modulus of the band of B_bare.  With accumulation the scalars are
+chained from the builders' zeta, sigma being the scalar of column k in
+S, 1 at the start: a left reflector gives row k of D the scalar
+z = conj(sigma) conj(zeta), and the right one after it gives column
+k+1 of S the scalar conj(zeta') conj(z); an identity reflector leaves 1
+on its row or column.  The loop records the reflectors and these
+scalars; L = D H and R = G S are formed after it, the way LAPACK's
+xORGBR does, by applying panels of reflectors in compact-WY form
+``I - V T V*`` (Schreiber & Van Loan 1989) backward to the diagonal of
+the scalars, so the factors cost real gemms of panel width rather than
+one rank-4 update per reflector.
 
 The trailing block of step k is a strided view of the work copy, and
 numpy runs an in-place ufunc on a strided 2-D view one row at a time,
@@ -42,14 +50,15 @@ which gives a lower bidiagonal B.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotBidiagonal
 from .householder import left_householder, right_householder
-from .qmat import (QMatrix, QVector, RMatrix, _CONJ, _HAMILTON, _LMAT_OF, _check_finite,
-                   _lmat, _rmat)
+from .qmat import QMatrix, QVector, RMatrix, _CONJ, _HAMILTON, _LMAT_OF, _check_finite, _lmat
+from .quat import hamilton
 
 __all__ = ["BidiagResult", "bidiagonalize", "check_bidiagonal", "extract_band"]
 
@@ -64,21 +73,19 @@ class BidiagResult:
     snap_residue: float
 
 
-def _reflect_left(u: np.ndarray, z4: np.ndarray, rows: np.ndarray, c0: int = 0) -> None:
-    """``rows <- rows - u (u* rows)`` on the columns from c0 on, then the
-    pivot row ``rows[0] <- z rows[0]`` there, in place; `rows` is planar
-    (m, 4, n) and C-contiguous, so its (4m, n) reshape is a view and each
-    contraction over the m quaternion rows is one real gemm against the
-    4m x 4 real form N of u (the real form of conj(u).T is N.T).  The
-    gemms run at full width; the columns left of c0 get an exact zero
-    update, so they keep their values bit for bit."""
+def _reflect_left(u: np.ndarray, rows: np.ndarray, c0: int = 0) -> None:
+    """``rows <- rows - u (u* rows)`` on the columns from c0 on, in place;
+    `rows` is planar (m, 4, n) and C-contiguous, so its (4m, n) reshape is
+    a view and each contraction over the m quaternion rows is one real
+    gemm against the 4m x 4 real form N of u (the real form of conj(u).T
+    is N.T).  The gemms run at full width; the columns left of c0 get an
+    exact zero update, so they keep their values bit for bit."""
     m, _, n = rows.shape
     flat = rows.reshape(4 * m, n)
     nmat = _lmat(u).reshape(4 * m, 4)
     w = nmat.T @ flat
     w[:, :c0] = 0.0
     flat -= nmat @ w
-    rows[0, :, c0:] = _lmat(z4) @ rows[0, :, c0:]
 
 
 # Contracts the 16 component products of x * y with the structure constants
@@ -87,21 +94,22 @@ def _reflect_left(u: np.ndarray, z4: np.ndarray, rows: np.ndarray, c0: int = 0) 
 _HAMILTON_LMAT = _HAMILTON @ _LMAT_OF.T
 
 
-def _reflect_right(u: np.ndarray, z4: np.ndarray, rows: np.ndarray, c0: int = 0) -> None:
-    """``rows <- rows - (rows u) u*`` on the columns from c0 on, then the
-    pivot column ``rows[:, c0] <- rows[:, c0] z``, in place on a planar,
-    C-contiguous (m, 4, n) block: u is padded with exact zeros in front
-    to length n, so the columns left of c0 get an exact zero update.
-    t = rows u is one gemm over the columns followed by one contraction
-    with _HAMILTON_LMAT to the 4m x 4 real form of t, and the rank-4
-    update ``t conj(u).T`` is one gemm of that real form against
+def _reflect_right(u: np.ndarray, rows: np.ndarray, c0: int = 0) -> None:
+    """``rows <- rows - (rows u) u*`` on the columns from c0 on, in place
+    on a planar, C-contiguous (m, 4, n) block: u is padded with exact
+    zeros in front to length n, so the columns left of c0 get an exact
+    zero update.  t = rows u is one gemm over the columns followed by one
+    contraction with _HAMILTON_LMAT to the 4m x 4 real form of t, and the
+    rank-4 update ``t conj(u).T`` is one gemm of that real form against
     ``(u * _CONJ).T``."""
     m, _, n = rows.shape
     flat = rows.reshape(4 * m, n)
     u = np.concatenate((np.zeros((c0, 4)), u))
     tmat = ((flat @ u).reshape(m, 16) @ _HAMILTON_LMAT).reshape(4 * m, 4)
     flat -= tmat @ (u * _CONJ).T
-    rows[:, :, c0] = rows[:, :, c0] @ _rmat(z4).T
+
+
+_ONE = (1.0, 0.0, 0.0, 0.0)
 
 
 def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
@@ -123,8 +131,10 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
     e1[0] = 1.0
     # (offset, u, s) of every non-identity reflector, in order, for the
     # factors: L* and R are both products of (I - u u*) S, where S
-    # left-multiplies the row at `offset` by s, a (4,) array.
+    # left-multiplies the row at `offset` by s, a unit quaternion.
     lrefl, rrefl = [], []
+    # The scalar of the current column in R (see the module docstring).
+    sigma = _ONE
 
     for k0 in range(0, cols, _NB):
         # The panel's trailing block, C-contiguous, so the rows from step k
@@ -133,15 +143,24 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
         for k in range(k0, min(k0 + _NB, cols)):
             i = k - k0
             h = left_householder(QVector(sub[i:, :, i]), e1[:rows - k])
+            s = _ONE  # conj(z), the scalar of row k in L*
             if not h.is_identity:
-                _reflect_left(h.u.data, h.zeta4 * _CONJ, sub[i:], i)
-                lrefl.append((k, h.u.data, h.zeta4))
+                _reflect_left(h.u.data, sub[i:], i)
+                if accumulate:
+                    s = hamilton(h.zeta4.tolist(), sigma)
+                    lrefl.append((k, h.u.data, s))
             if k <= cols - 2:
                 g = right_householder(QVector(sub[i, :, i + 1:].T), e1[:cols - 1 - k])
+                sigma = _ONE
                 if not g.is_identity:
-                    z = g.zeta4 * _CONJ
-                    _reflect_right(g.u.data, z, sub[i:], i + 1)
-                    rrefl.append((k + 1, g.u.data, z))
+                    _reflect_right(g.u.data, sub[i:], i + 1)
+                    if accumulate:
+                        sigma = hamilton((g.zeta4 * _CONJ).tolist(), s)
+                        # Renormalised, so that rounding does not build up
+                        # along the chain.
+                        norm = math.hypot(*sigma)
+                        sigma = tuple(c / norm for c in sigma)
+                        rrefl.append((k + 1, g.u.data, sigma))
         if k0:
             work[k0:, :, k0:] = sub
 
@@ -165,23 +184,34 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
 
 def _snap_band(work: np.ndarray) -> tuple[np.ndarray, float]:
     """The real upper band of a reduced planar (rows, 4, cols) work array,
-    rows >= cols, with every other value written as exact zero, and the
-    largest magnitude so dropped: the norm of an entry outside the band
-    or of the vector part of a band entry."""
+    rows >= cols: the moduli of its band entries, with every other entry
+    written as exact zero, and the largest norm so dropped."""
     rows, _, cols = work.shape
-    in_band = np.eye(rows, cols, dtype=bool) | np.eye(rows, cols, 1, dtype=bool)
-    # Norms of a copy scaled by a power of two that brings the largest value
-    # near 1: no square overflows, and only the squares of values below
-    # 2**-511 of it underflow.  The maximum is scaled back.
-    exponent = int(np.frexp(np.abs(work).max())[1])
+    band = np.zeros((rows, cols))
+    # Moduli by hypot, which neither overflows nor flushes the small
+    # entries of a graded band.
+    planes = work.transpose(1, 0, 2)
+    for offset, out in enumerate(_band_views(band)):
+        w, x, y, z = np.diagonal(planes, offset, 1, 2)
+        np.hypot(np.hypot(w, x), np.hypot(y, z), out=out)
+    # Squared norms of a copy scaled by a power of two that brings the
+    # largest value near 1: no square overflows, and only the squares of
+    # values below 2**-511 of it underflow.  The maximum is scaled back.
+    exponent = math.frexp(np.abs(work).max())[1]
     scaled = np.ldexp(work, -exponent)
-    outside = np.linalg.norm(scaled.transpose(0, 2, 1), axis=-1)[~in_band]
-    i, j = np.nonzero(in_band)
-    vec = scaled[i, 1:, j]
-    # One dot per entry, the sum np.linalg.norm takes of a single vector.
-    vec_sq = np.matmul(vec[:, np.newaxis, :], vec[:, :, np.newaxis])
-    residue = max(float(outside.max(initial=0.0)), float(np.sqrt(vec_sq.max())))
-    return np.where(in_band, work[:, 0, :], 0.0), float(np.ldexp(residue, exponent))
+    np.square(scaled, out=scaled)
+    sq = scaled.sum(axis=1)
+    for view in _band_views(sq):
+        view[:] = 0.0
+    return band, float(np.ldexp(np.sqrt(sq.max(initial=0.0)), exponent))
+
+
+def _band_views(m: np.ndarray):
+    """Views of the diagonal and the superdiagonal of a C-contiguous
+    (rows, cols) array, rows >= cols."""
+    cols = m.shape[1]
+    flat = m.ravel()
+    return flat[::cols + 1][:cols], flat[1::cols + 1][:cols - 1]
 
 
 # Steps per panel, in the reduction and in the factors.  Forming 128 x 128
@@ -243,9 +273,10 @@ def _wy_t(vmat: np.ndarray, width: int) -> np.ndarray:
     blocks = np.matmul(_LMAT_OF, gram.reshape(4, width * width))
     # [j, l, i, k]: block (j, i) of the real form, in (column, component) order.
     upper = blocks.reshape(4, 4, width, width).transpose(2, 0, 3, 1).reshape(4 * width, 4 * width)
+    np.negative(upper, out=upper)
     t = np.eye(4 * width)
     for s in range(4, 4 * width, 4):
-        t[:s, s:s + 4] = -t[:s, :s] @ upper[:s, s:s + 4]
+        np.matmul(t[:s, :s], upper[:s, s:s + 4], out=t[:s, s:s + 4])
     # Back to (component, column) order.
     return t.reshape(width, 4, width, 4).transpose(1, 0, 3, 2).reshape(4 * width, 4 * width)
 

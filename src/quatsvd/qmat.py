@@ -2,7 +2,7 @@
 
 Storage is a row-major float64 array, checked once by a shared base; the
 quaternion types add a trailing axis of length 4 holding ``(w, x, y, z)``.
-The Hamilton product is written out once, in ``Quaternion.__mul__``; this
+The Hamilton product is written out once, in ``quat.hamilton``; this
 module reads its structure constants off the products of the units
 ``1, i, j, k`` at import, and every array product, real form and
 conjugation below the public API is derived from them.

@@ -11,6 +11,17 @@ import math
 from dataclasses import dataclass
 
 
+def hamilton(p, q) -> tuple[float, float, float, float]:
+    """Components of the Hamilton product p * q of two (w, x, y, z)
+    sequences: the one place the product is written out."""
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    return (pw * qw - px * qx - py * qy - pz * qz,
+            pw * qx + px * qw + py * qz - pz * qy,
+            pw * qy - px * qz + py * qw + pz * qx,
+            pw * qz + px * qy - py * qx + pz * qw)
+
+
 @dataclass(frozen=True, slots=True)
 class Quaternion:
     w: float = 0.0
@@ -61,12 +72,8 @@ class Quaternion:
 
     def __mul__(self, other):
         if isinstance(other, Quaternion):
-            return Quaternion(
-                self.w * other.w - self.x * other.x - self.y * other.y - self.z * other.z,
-                self.w * other.x + self.x * other.w + self.y * other.z - self.z * other.y,
-                self.w * other.y - self.x * other.z + self.y * other.w + self.z * other.x,
-                self.w * other.z + self.x * other.y - self.y * other.x + self.z * other.w,
-            )
+            return Quaternion(*hamilton((self.w, self.x, self.y, self.z),
+                                        (other.w, other.x, other.y, other.z)))
         if isinstance(other, (int, float)):
             f = float(other)
             return Quaternion(self.w * f, self.x * f, self.y * f, self.z * f)

@@ -18,6 +18,7 @@ from quatsvd import (
     QVector,
     Quaternion,
     RMatrix,
+    Side,
     apply_left,
     apply_right,
     bidiagonalize,
@@ -214,6 +215,76 @@ def test_formed_factors_are_unitary(shape):
     assert recon_error(a, res) <= unit * a.frobenius_norm()
 
 
+@pytest.mark.parametrize("shape", [(256, 256), (300, 40)])
+def test_chained_scalars_keep_long_factors_unitary(shape):
+    """The loop applies bare reflectors and the factors get the unit
+    scalars chained over every step: after 256 steps the chain has not
+    drifted off the unit sphere, and L A R is still the band."""
+    r, c = shape
+    a = random_qmatrix(r, c, np.random.default_rng(r * c))
+    res = bidiagonalize(a)
+    unit = 64 * max(r, c) * EPS
+    assert unitary_error(res.left) <= unit
+    assert unitary_error(res.right) <= unit
+    assert recon_error(a, res) <= unit * a.frobenius_norm()
+
+
+@pytest.mark.parametrize("shape", [(40, 17), (17, 40), (33, 33), (64, 64)])
+@pytest.mark.parametrize("rank", [None, 3])
+def test_values_only_band_is_the_moduli_of_full_mode(shape, rank):
+    """Both modes run the same bare loop and take the band as moduli: a
+    nonnegative band, bit for bit the same with and without the factors."""
+    r, c = shape
+    rng = np.random.default_rng(r * 100 + c)
+    a = random_qmatrix(r, c, rng) if rank is None else \
+        random_qmatrix(r, rank, rng) @ random_qmatrix(rank, c, rng)
+    full = bidiagonalize(a)
+    lean = bidiagonalize(a, accumulate=False)
+    assert np.all(lean.bidiagonal.data >= 0.0)
+    assert np.array_equal(lean.bidiagonal.data, full.bidiagonal.data)
+    assert lean.snap_residue == full.snap_residue
+
+
+@pytest.mark.parametrize("at", [15, 16])
+def test_rank_deficient_block_after_identity_reflectors(at):
+    """An identity reflector at step 15 or 16, at the edge of the first
+    panel, resets the chain of scalars; the trailing block has rank 3, so
+    the reflectors past it are built from rounding noise and the factors
+    are compared where the leading reflectors determine them."""
+    n, rank = 24, 3
+    rng = np.random.default_rng(at)
+    data = np.zeros((n, n, 4))
+    data[:at, :at] = rng.standard_normal((at, at, 4))
+    tail = n - at - 1
+    data[at + 1:, at + 1:] = (random_qmatrix(tail, rank, rng)
+                              @ random_qmatrix(rank, tail, rng)).data
+    a = QMatrix(data)
+    res = bidiagonalize(a)
+    left, band, right = reflector_bidiagonalize(a)
+    unit = 64 * n * EPS
+    m = at + 1 + rank
+    assert np.abs(res.bidiagonal.data - band).max() <= unit * a.frobenius_norm()
+    assert np.abs(res.left.data[:m] - left.data[:m]).max() <= unit
+    assert np.abs(res.right.data[:, :m] - right.data[:, :m]).max() <= unit
+    assert recon_error(a, res) <= unit * a.frobenius_norm()
+
+
+@pytest.mark.parametrize("width", [1, 5, 16])
+def test_wy_t_inverts_the_strict_block_upper_gram(width):
+    """T = inv(I + strict block-upper(V* V)) for reflectors of norm sqrt(2),
+    in the (component, column) order of the real form V."""
+    rng = np.random.default_rng(width)
+    m = 20
+    vp = rng.standard_normal((m, 4, width))
+    vp *= np.sqrt(2.0) / np.linalg.norm(vp, axis=(0, 1))
+    vmat = np.matmul(bidiag._LMAT_OF, vp).reshape(4 * m, 4 * width)
+    column = np.arange(4 * width) % width
+    strict_upper = column[:, np.newaxis] < column[np.newaxis, :]
+    expect = np.linalg.inv(np.eye(4 * width) + (vmat.T @ vmat) * strict_upper)
+    got = bidiag._wy_t(vmat, width)
+    assert np.linalg.norm(got - expect) <= 64 * EPS * np.linalg.norm(expect)
+
+
 def _count_reflections(monkeypatch):
     """Records (kernel, block shape, c0) of every call, after checking that
     the block is C-contiguous: the reduction runs on a per-panel buffer so
@@ -222,10 +293,10 @@ def _count_reflections(monkeypatch):
     for name in ("_reflect_left", "_reflect_right"):
         original = getattr(bidiag, name)
 
-        def counted(u, z4, rows, c0=0, name=name, original=original):
+        def counted(u, rows, c0=0, name=name, original=original):
             assert rows.flags.c_contiguous
             calls.append((name, rows.shape, c0))
-            return original(u, z4, rows, c0)
+            return original(u, rows, c0)
         monkeypatch.setattr(bidiag, name, counted)
     return calls
 
@@ -280,11 +351,9 @@ def test_padded_update_leaves_the_columns_left_of_c0_exact(side, c0):
         block = rng.standard_normal((6, 4, 7)) * 10.0 ** rng.uniform(-3, 3, (6, 4, 7))
         u = rng.standard_normal((6 if side == "left" else 7 - c0, 4))
         u *= np.sqrt(2.0) / np.linalg.norm(u)
-        z4 = rng.standard_normal(4)
-        z4 /= np.linalg.norm(z4)
         out, alone = block.copy(), block[:, :, c0:].copy()
-        kernel(u, z4, out, c0)
-        kernel(u, z4, alone)
+        kernel(u, out, c0)
+        kernel(u, alone)
         assert np.array_equal(out[:, :, :c0], block[:, :, :c0])
         assert np.allclose(out[:, :, c0:], alone, rtol=0, atol=64 * EPS * np.abs(block).max())
 
@@ -292,11 +361,15 @@ def test_padded_update_leaves_the_columns_left_of_c0_exact(side, c0):
 def _identity_left_reflector_under_a_superdiagonal():
     """3 x 3 inputs whose step-1 left reflector is the identity (d1 = 0)
     while row 1 still holds the superdiagonal entry e1 != 0: the real
-    [[1, 0, 0], [0, 0, 1], [0, 0, 1]] and a quaternion one shaped alike."""
+    [[1, 0, 0], [0, 0, 1], [0, 0, 1]], a quaternion one shaped alike, and
+    one with a quaternion a01, whose step-0 right reflector is not the
+    identity, so the scalar chained into column 1 of R is not 1 either."""
     real = RMatrix(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])).promote()
     data = np.zeros((3, 3, 4))
     data[[0, 1, 2], [0, 2, 2]] = np.random.default_rng(11).standard_normal((3, 4))
-    return [real, QMatrix(data)]
+    chained = np.zeros((3, 3, 4))
+    chained[[0, 0, 1, 2], [0, 1, 2, 2]] = np.random.default_rng(12).standard_normal((4, 4))
+    return [real, QMatrix(data), QMatrix(chained)]
 
 
 @pytest.mark.parametrize("a", _identity_left_reflector_under_a_superdiagonal())
@@ -315,25 +388,27 @@ def test_identity_left_reflector_keeps_the_scalars_on_their_rows(a):
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
-def test_unit_scalar_multiplies_the_pivot_only(side):
-    """With u = 0 the reflector is its unit scalar alone, and that acts on
-    the pivot row (left) or pivot column (right) of the block only."""
+def test_kernels_apply_the_bare_reflector(side):
+    """The kernels apply exactly I - u u*, with no unit scalar: u = 0
+    leaves the block bit for bit, and a random u acts as the public
+    reflector API's bare reflector."""
     rng = np.random.default_rng(12)
+    kernel, apply = ((bidiag._reflect_left, apply_left) if side == "left"
+                     else (bidiag._reflect_right, apply_right))
+    m = 5 if side == "left" else 3
     block = rng.standard_normal((5, 4, 3))
-    z4 = rng.standard_normal(4)
-    z4 /= np.linalg.norm(z4)
-    z = Quaternion(*z4.tolist())
     out = block.copy()
-    if side == "left":
-        bidiag._reflect_left(np.zeros((5, 4)), z4, out)
-        pivot = QMatrix(block[:1].transpose(0, 2, 1)).scale_left(z).data[0].T
-        assert np.array_equal(out[1:], block[1:])
-        assert np.allclose(out[0], pivot, rtol=0, atol=16 * EPS)
-    else:
-        bidiag._reflect_right(np.zeros((3, 4)), z4, out)
-        pivot = QMatrix(block[:, :, :1].transpose(0, 2, 1)).scale_right(z).data[:, 0]
-        assert np.array_equal(out[:, :, 1:], block[:, :, 1:])
-        assert np.allclose(out[:, :, 0], pivot, rtol=0, atol=16 * EPS)
+    kernel(np.zeros((m, 4)), out)
+    assert np.array_equal(out, block)
+    for _ in range(10):
+        u = rng.standard_normal((m, 4))
+        u *= np.sqrt(2.0) / np.linalg.norm(u)
+        bare = HouseholderReflector(QVector(u), Quaternion(1),
+                                    Side.LEFT if side == "left" else Side.RIGHT)
+        out = block.copy()
+        kernel(u, out)
+        expect = apply(bare, QMatrix(block.transpose(0, 2, 1).copy())).data.transpose(0, 2, 1)
+        assert np.allclose(out, expect, rtol=0, atol=64 * EPS * np.abs(block).max())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -438,36 +513,40 @@ def test_snap_band_drops_exactly_the_planted_noise(shape, outside, outside_scale
     band[k[:-1], k[:-1] + 1] = rng.standard_normal(cols - 1)
     work = np.zeros((rows, 4, cols))
     work[:, 0, :] = band
-    # Vector part of norm 5 * 2**-52 on the last diagonal entry.
-    work[cols - 1, 2:, cols - 1] = [3 * 2.0 ** -52, 4 * 2.0 ** -52]
-    expect = 5 * 2.0 ** -52
+    # The band is the moduli of its entries: the negative ones turn
+    # positive, and the last diagonal entry, a quaternion of norm 5 with
+    # components in both halves, gives 5.
+    work[cols - 1, :, cols - 1] = [3.0, 0.0, 0.0, -4.0]
+    expect_band = np.abs(band)
+    expect_band[cols - 1, cols - 1] = 5.0
+    expect = 0.0
     if outside is not None:
         work[outside[0], [0, 2], outside[1]] = [3 * outside_scale, 4 * outside_scale]
-        expect = max(expect, 5 * outside_scale)
+        expect = 5 * outside_scale
     got, residue = bidiag._snap_band(work)
     assert residue == expect
-    assert np.array_equal(got, band)
+    assert np.array_equal(got, expect_band)
 
 
 def _snap_per_column(work):
     """Reference: the snap done column by column inside the reduction
-    loop, as (band, residue) of a planar (rows, 4, cols) array."""
+    loop, as (band, residue) of a planar (rows, 4, cols) array: the band
+    is the moduli of the band entries, the residue the largest norm of an
+    entry outside the band."""
     work = work.copy()
     rows, _, cols = work.shape
+    band = np.zeros((rows, cols))
     residue = 0.0
     for k in range(cols):
         below = work[k + 1:, :, k]
-        residue = max(residue, float(np.linalg.norm(work[k, 1:, k])),
-                      float(np.linalg.norm(below, axis=-1).max()) if below.size else 0.0)
-        work[k, 1:, k] = 0.0
-        work[k + 1:, :, k] = 0.0
+        band[k, k] = np.linalg.norm(work[k, :, k])
+        residue = max(residue, float(np.linalg.norm(below, axis=-1).max()) if below.size else 0.0)
         if k <= cols - 2:
             right = work[k, :, k + 2:].T
-            residue = max(residue, float(np.linalg.norm(work[k, 1:, k + 1])),
+            band[k, k + 1] = np.linalg.norm(work[k, :, k + 1])
+            residue = max(residue,
                           float(np.linalg.norm(right, axis=-1).max()) if right.size else 0.0)
-            work[k, 1:, k + 1] = 0.0
-            work[k, :, k + 2:] = 0.0
-    return work[:, 0, :], residue
+    return band, residue
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (6, 1), (2, 2), (9, 9), (40, 17), (64, 64)])
@@ -478,12 +557,31 @@ def test_snap_band_matches_the_per_column_snap(shape):
     for rep in range(40):
         work = rng.standard_normal((rows, 4, cols)) * 10.0 ** rng.uniform(-18, 3, (rows, 4, cols))
         if rep % 2:
-            # Let the band's vector parts hold the largest dropped value.
+            # Make everything dropped far smaller than the band, which the
+            # residue must then leave out.
             work.transpose(0, 2, 1)[~in_band] *= 1e-20
         band, residue = bidiag._snap_band(work)
         ref_band, ref_residue = _snap_per_column(work)
         assert residue == ref_residue
-        assert np.array_equal(band, ref_band)
+        assert np.all(band >= 0.0)
+        assert np.array_equal(band == 0.0, ~in_band | (ref_band == 0.0))
+        # The band's moduli are taken by hypot, the reference's by a dot
+        # product: each is within an ulp or two.
+        assert np.allclose(band, ref_band, rtol=4 * EPS, atol=0)
+
+
+@pytest.mark.parametrize("accumulate", [True, False])
+def test_graded_diagonal_keeps_its_small_band_entries(accumulate):
+    """The band is the moduli of the bare band entries; an entry 2**-600
+    below the largest keeps its relative accuracy, as the real band SVD
+    keeps the small values of a graded band."""
+    q = np.random.default_rng(14).standard_normal((3, 4))
+    scales = np.ldexp(1.0, [0, -600, -1000])
+    a = QMatrix(np.zeros((3, 3, 4)))
+    a.data[[0, 1, 2], [0, 1, 2]] = q * scales[:, np.newaxis]
+    res = bidiagonalize(a, accumulate=accumulate)
+    expect = np.linalg.norm(q, axis=1) * scales
+    assert np.allclose(np.diagonal(res.bidiagonal.data), expect, rtol=8 * EPS, atol=0)
 
 
 @pytest.mark.parametrize("shape", [(4, 6), (6, 4)])

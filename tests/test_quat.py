@@ -3,7 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from quatsvd.quat import I, J, K, ONE, Quaternion
+from quatsvd.qmat import _HAMILTON
+from quatsvd.quat import I, J, K, ONE, Quaternion, hamilton
 
 EPS = 2.0 ** -52
 
@@ -30,6 +31,51 @@ def assert_components(q, w, x, y, z, tol=0.0):
 ])
 def test_unit_products(p, q, expected):
     assert p * q == expected
+
+
+# e_k e_p of the units 1, i, j, k as (sign, index of the unit): the textbook
+# table, typed independently of the product in quat.py.
+UNIT_TABLE = [[(1, 0), (1, 1), (1, 2), (1, 3)],
+              [(1, 1), (-1, 0), (1, 3), (-1, 2)],
+              [(1, 2), (-1, 3), (-1, 0), (1, 1)],
+              [(1, 3), (1, 2), (-1, 1), (-1, 0)]]
+UNITS = (ONE, I, J, K)
+
+
+def components(q):
+    return (q.w, q.x, q.y, q.z)
+
+
+def table_product(p, q):
+    """p * q expanded bilinearly over UNIT_TABLE."""
+    out = [0.0] * 4
+    for k in range(4):
+        for l in range(4):
+            sign, index = UNIT_TABLE[k][l]
+            out[index] += sign * p[k] * q[l]
+    return out
+
+
+def test_hamilton_on_the_unit_pairs():
+    for k, e in enumerate(UNITS):
+        for l, f in enumerate(UNITS):
+            sign, index = UNIT_TABLE[k][l]
+            expect = tuple(float(sign * (m == index)) for m in range(4))
+            assert hamilton(components(e), components(f)) == expect
+            assert components(e * f) == expect
+    # The structure constants qmat reads off the products of the units.
+    assert _HAMILTON.tolist() == [[float(sign * (m == index)) for m in range(4)]
+                                  for row in UNIT_TABLE for sign, index in row]
+
+
+@given(quats(), quats())
+def test_hamilton_is_the_quaternion_product(p, q):
+    got = hamilton(components(p), components(q))
+    assert got == components(p * q)
+    assert isinstance(got, tuple) and len(got) == 4
+    expect = table_product(components(p), components(q))
+    bound = 4 * EPS * (abs(p) * abs(q))
+    assert all(abs(a - b) <= bound for a, b in zip(got, expect))
 
 
 def test_product_expansion():
