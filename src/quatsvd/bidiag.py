@@ -295,10 +295,13 @@ def check_bidiagonal(b: RMatrix, upper: bool, tol: float = 0.0) -> bool:
 def extract_band(b: RMatrix, lower: bool = False):
     """Compact (d, e) form of a bidiagonal matrix: d the diagonal of the
     leading n x n block (n = min(r, c)), e the adjacent off-diagonal,
-    length n - 1.  A lower bidiagonal input is transposed first."""
+    length n - 1.  A lower bidiagonal input is transposed first; a nonzero
+    band entry outside that block (wide upper, tall lower) is NotBidiagonal."""
     m = b.data.T if lower else b.data
     rows, cols = m.shape
     if not check_bidiagonal(RMatrix(m), upper=True):
         raise NotBidiagonal("matrix has entries outside the bidiagonal band")
     n = min(rows, cols)
+    if cols > rows and m[n - 1, n] != 0.0:
+        raise NotBidiagonal("band entry past the leading square block is nonzero")
     return np.diagonal(m).copy(), np.diagonal(m, 1)[:n - 1].copy()

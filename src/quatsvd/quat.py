@@ -47,14 +47,16 @@ class Quaternion:
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
 
     def inverse(self) -> Quaternion:
-        """Multiplicative inverse ``conjugate / |q|**2``.
-
-        Raises ZeroDivisionError for the zero quaternion.
-        """
-        n2 = self.abs_squared()
-        if n2 == 0.0:
+        """Multiplicative inverse ``conjugate / |q|**2``, formed on q scaled by
+        2**-k (k the exponent of its largest component) so that |q|**2 cannot
+        overflow or underflow.  Raises ZeroDivisionError for the zero
+        quaternion, OverflowError for an inverse beyond the float range."""
+        if self.is_zero():
             raise ZeroDivisionError("zero quaternion has no inverse")
-        return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
+        k = math.frexp(max(abs(self.w), abs(self.x), abs(self.y), abs(self.z)))[1]
+        p = Quaternion(*(math.ldexp(v, -k) for v in (self.w, -self.x, -self.y, -self.z)))
+        n2 = p.abs_squared()
+        return Quaternion(*(math.ldexp(v / n2, -k) for v in (p.w, p.x, p.y, p.z)))
 
     def is_zero(self) -> bool:
         return self.w == 0.0 and self.x == 0.0 and self.y == 0.0 and self.z == 0.0
@@ -79,12 +81,8 @@ class Quaternion:
             return Quaternion(self.w * f, self.x * f, self.y * f, self.z * f)
         return NotImplemented
 
-    def __rmul__(self, other):
-        # Real scalars commute with quaternions, so no separate ordering here.
-        if isinstance(other, (int, float)):
-            f = float(other)
-            return Quaternion(self.w * f, self.x * f, self.y * f, self.z * f)
-        return NotImplemented
+    # Real scalars commute with quaternions, so x * q is q * x.
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):

@@ -11,13 +11,12 @@ rebuilds the band.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoConvergence, NonFiniteInput
-from .qmat import RMatrix
+from .qmat import RMatrix, _safe_norm
 
 __all__ = ["BidiagonalBand", "RealSvdResult", "bidiag_svd"]
 
@@ -54,7 +53,7 @@ class BidiagonalBand:
                        else np.diag(self.d))
 
     def frobenius_norm(self) -> float:
-        return math.hypot(float(np.linalg.norm(self.d)), float(np.linalg.norm(self.e)))
+        return _safe_norm(np.concatenate((self.d, self.e)))
 
 
 @dataclass(frozen=True)

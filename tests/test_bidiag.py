@@ -635,9 +635,9 @@ def test_check_bidiagonal_tolerance():
     [
         ([[3.0, 0.0], [0.0, 4.0]], False, [3.0, 4.0], [0.0]),
         ([[1.0, 1.0], [0.0, 1.0]], False, [1.0, 1.0], [1.0]),
-        # wide upper band: the entry hanging past the square block drops off
-        ([[1.0, 2.0, 0.0], [0.0, 3.0, 4.0]], False, [1.0, 3.0], [2.0]),
-        ([[1.0, 0.0], [2.0, 3.0], [0.0, 4.0]], True, [1.0, 3.0], [2.0]),
+        # the band entry hanging past the square block is zero, so nothing is lost
+        ([[1.0, 2.0, 0.0], [0.0, 3.0, 0.0]], False, [1.0, 3.0], [2.0]),
+        ([[1.0, 0.0], [2.0, 3.0], [0.0, 0.0]], True, [1.0, 3.0], [2.0]),
         ([[5.0]], False, [5.0], []),
     ],
 )
@@ -645,6 +645,21 @@ def test_extract_band_table(m, lower, d, e):
     got_d, got_e = extract_band(RMatrix(np.array(m)), lower=lower)
     assert np.array_equal(got_d, np.array(d))
     assert np.array_equal(got_e, np.array(e))
+
+
+@pytest.mark.parametrize(
+    "m, lower",
+    [
+        ([[1.0, 2.0, 0.0], [0.0, 3.0, 4.0]], False),  # wide upper: entry (1, 2)
+        ([[1.0, 0.0], [2.0, 3.0], [0.0, 4.0]], True),  # tall lower: entry (2, 1)
+    ],
+)
+def test_extract_band_rejects_a_hanging_entry(m, lower):
+    # Such a matrix is bidiagonal, but (d, e) cannot hold the entry past the
+    # square block: dropping it gave sigma 3.650, 0.822 for 5.164, 1.827.
+    assert check_bidiagonal(RMatrix(np.array(m)), upper=not lower)
+    with pytest.raises(NotBidiagonal, match="past the leading square block"):
+        extract_band(RMatrix(np.array(m)), lower=lower)
 
 
 def test_extract_band_rejects_full_matrix():

@@ -154,6 +154,24 @@ def test_check_flags_corrupted_factor(tmp_path, capsys):
     assert "unitarity(U)" in captured.out
 
 
+def test_check_flags_a_huge_factor_entry_without_warning(tmp_path, capsys):
+    # 1e300 is finite, so it passes the file check and reaches verify.
+    src, out = run_svd(tmp_path, random_qmatrix(4, 3, np.random.default_rng(8)))
+    u = read_qmatrix(out / "U.qmat")
+    u.data[2, 1, 3] = 1e300
+    write_qmatrix(u, out / "U.qmat")
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["check", str(src), "--u", str(out / "U.qmat"), "--s", str(out / "S.rmat"),
+                     "--v", str(out / "V.qmat")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "unitarity(U)" in captured.out.splitlines()[-1].split("FAIL: ")[1].split(", ")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in captured.err
+
+
 def test_check_flags_off_diagonal_sigma(tmp_path, capsys):
     src = tmp_path / "a.qmat"
     assert main(["gen", "--rows", "4", "--cols", "3", "--seed", "1", "--out", str(src)]) == 0

@@ -1,5 +1,7 @@
 """End-to-end quaternion SVD: assembly, reconstruction, verification."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +58,46 @@ def test_unitarity_residual_examples():
     # A thin factor needs orthonormal columns only.
     assert _unitarity_residual(QMatrix(QMatrix.identity(3).data[:, :2])) == 0.0
     assert _unitarity_residual(QMatrix.zeros(2, 3)) == np.sqrt(3.0)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_unitarity_residual_sees_a_zeroed_row_or_column(axis):
+    # One Gram M* M suffices for a square factor: a zeroed row, which only
+    # M M* seems to show, gives M* M - I = -m* m, of norm |m|^2 = 1.
+    a = random_qmatrix(6, 6, np.random.default_rng(21))
+    res = qsvd(a)
+    u = res.u.copy()
+    if axis == 0:
+        u.data[2] = 0.0
+    else:
+        u.data[:, 2] = 0.0
+    assert _unitarity_residual(u) == pytest.approx(1.0, rel=1e-13)
+    report = verify(a, QsvdResult(u=u, sigma=res.sigma, v=res.v), with_oracle=False)
+    assert "unitarity(U)" in [c.name for c in report.failures()]
+    assert report["unitarity(V)"].passed
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 3), (3, 5), (24, 24), (200, 24), (24, 200),
+                                   (128, 128)])
+def test_one_gram_agrees_with_both_products(shape):
+    res = qsvd(random_qmatrix(*shape, np.random.default_rng(5)))
+    for q in (res.u, res.v):
+        one, both = _unitarity_residual(q), unitary_error(q)
+        assert one <= both
+        assert both - one <= max(shape) * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("bad", [1e300, np.inf, np.nan])
+def test_verify_fails_a_huge_or_non_finite_factor_entry_without_warning(bad):
+    a = random_qmatrix(5, 3, np.random.default_rng(9))
+    res = qsvd(a)
+    u = res.u.copy()
+    u.data[1, 2, 3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify(a, QsvdResult(u=u, sigma=res.sigma, v=res.v))
+    assert not report.passed
+    assert "unitarity(U)" in [c.name for c in report.failures()]
 
 
 # --- tiny frozen cases ------------------------------------------------------------

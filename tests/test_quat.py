@@ -138,6 +138,26 @@ def test_inverse_of_zero_raises():
         Quaternion(0).inverse()
 
 
+@pytest.mark.parametrize("q", [
+    Quaternion(1e200),
+    Quaternion(1e-200),
+    Quaternion(3e-170, 4e-170),
+    Quaternion(1e200, -2e200, 3e200, 4e200),
+    Quaternion(1e-200, 2e-200, -3e-200, 4e-200),
+])
+def test_inverse_beyond_the_square_range(q):
+    # |q|**2 overflows or underflows here; the inverse itself is in range.
+    for prod in (q * q.inverse(), q.inverse() * q, q / q):
+        assert_components(prod, 1.0, 0.0, 0.0, 0.0, tol=4 * EPS)
+
+
+def test_inverse_raises_beyond_the_float_range_and_at_zero():
+    with pytest.raises(OverflowError):
+        Quaternion(5e-324).inverse()
+    with pytest.raises(ZeroDivisionError):
+        Quaternion(0, 0, 0, 0) / Quaternion(0, 0, -0.0, 0)
+
+
 @given(quats(), quats())
 def test_conjugate_reverses_products(p, q):
     lhs = (p * q).conjugate()

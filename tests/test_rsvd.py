@@ -186,3 +186,12 @@ def test_band_dense_and_norm():
     assert np.array_equal(band.dense().data, [[3.0, 12.0], [0.0, 4.0]])
     assert band.frobenius_norm() == 13.0
     assert BidiagonalBand([7.0], []).dense().data.shape == (1, 1)
+
+
+@pytest.mark.parametrize("d, e, norm", [
+    ([1e200, 1.0], [1e200], np.sqrt(2) * 1e200),  # squaring 1e200 overflows
+    ([1e-200] * 2, [1e-200], np.sqrt(3) * 1e-200),  # squaring 1e-200 underflows
+], ids=["1e200", "1e-200"])
+def test_band_norm_at_extreme_scales(d, e, norm):
+    got = BidiagonalBand(d, e).frobenius_norm()
+    assert got == pytest.approx(norm, rel=4 * np.finfo(float).eps, abs=0.0)
