@@ -9,14 +9,12 @@ independent singular values, with a stated error bound, for validation.
 
 from .bidiag import BidiagResult, bidiagonalize, check_bidiagonal, extract_band
 from .errors import (BadTarget, FormatError, GroupingFailure, NoConvergence,
-                     NonFiniteInput, NotBidiagonal, NotSymmetric, ShapeMismatch)
+                     NonFiniteInput, NotBidiagonal, ShapeMismatch)
 from .formats import (matrix_file_kind, read_qmatrix, read_rmatrix,
                       write_qmatrix, write_rmatrix)
-from .householder import (HouseholderReflector, Side, apply_left, apply_right,
-                          form_matrix, left_householder, right_householder,
-                          right_householder_direct)
-from .oracle import (adjoint_error_bound, adjoint_singular_values, jacobi_eigen,
-                     real_adjoint)
+from .householder import (HouseholderReflector, Side, form_matrix, left_householder,
+                          right_householder)
+from .oracle import adjoint_error_bound, adjoint_singular_values, real_adjoint
 from .qmat import QMatrix, QVector, RMatrix, random_qmatrix
 from .qsvd import QsvdResult, VerifyReport, qsvd, reconstruct, verify
 from .quat import Quaternion
@@ -25,14 +23,14 @@ from .rsvd import BidiagonalBand, RealSvdResult, bidiag_svd
 __all__ = [
     "Quaternion", "QVector", "QMatrix", "RMatrix", "random_qmatrix",
     "HouseholderReflector", "Side", "left_householder", "right_householder",
-    "right_householder_direct", "apply_left", "apply_right", "form_matrix",
+    "form_matrix",
     "BidiagResult", "bidiagonalize", "check_bidiagonal", "extract_band",
     "BidiagonalBand", "RealSvdResult", "bidiag_svd",
-    "real_adjoint", "jacobi_eigen", "adjoint_singular_values", "adjoint_error_bound",
+    "real_adjoint", "adjoint_singular_values", "adjoint_error_bound",
     "QsvdResult", "VerifyReport", "qsvd", "reconstruct", "verify",
     "read_qmatrix", "read_rmatrix", "write_qmatrix", "write_rmatrix",
     "matrix_file_kind",
-    "ShapeMismatch", "BadTarget", "NotBidiagonal", "NotSymmetric",
+    "ShapeMismatch", "BadTarget", "NotBidiagonal",
     "NoConvergence", "GroupingFailure", "FormatError", "NonFiniteInput",
 ]
 

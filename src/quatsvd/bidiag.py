@@ -57,7 +57,8 @@ import numpy as np
 
 from .errors import NotBidiagonal
 from .householder import left_householder, right_householder
-from .qmat import QMatrix, QVector, RMatrix, _CONJ, _HAMILTON, _LMAT_OF, _check_finite, _lmat
+from .qmat import (QMatrix, QVector, RMatrix, _CONJ, _HAMILTON, _LMAT_OF, _check_finite,
+                   _check_range, _lmat)
 from .quat import hamilton
 
 __all__ = ["BidiagResult", "bidiagonalize", "check_bidiagonal", "extract_band"]
@@ -116,8 +117,11 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
     """Compute unitary L (r x r) and R (c x c) with L A R real bidiagonal.
 
     With ``accumulate=False`` the factors are skipped (returned as None)
-    and only the band and the snap diagnostic are produced.  Raises
-    NonFiniteInput, naming the first NaN or infinite entry.
+    and only the band and the snap diagnostic are produced.  The reduction
+    runs on a copy scaled by 4**-k that brings the largest entry into
+    [1/2, 2): L and R do not change and B scales exactly.  Raises
+    NonFiniteInput, naming the first NaN or infinite entry, and
+    OverflowError for a B beyond the float range.
     """
     _check_finite(a)
     wide = a.cols > a.rows
@@ -127,6 +131,10 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
     else:
         work = a.data.transpose(0, 2, 1).copy()
     rows, _, cols = work.shape
+    # An even power of two, so that the builds' square roots scale exactly.
+    scale = 2 * (math.frexp(np.abs(work).max())[1] // 2)
+    if scale:
+        np.ldexp(work, -scale, out=work)
     e1 = np.zeros(rows)
     e1[0] = 1.0
     # (offset, u, s) of every non-identity reflector, in order, for the
@@ -165,6 +173,10 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
             work[k0:, :, k0:] = sub
 
     band, residue = _snap_band(work)
+    if scale:
+        _check_range("largest entry of B", band.max(), scale)
+        np.ldexp(band, scale, out=band)
+        residue = math.ldexp(residue, scale)
     left = right = None
     if accumulate:
         lfac, rfac = _form_factor(rows, lrefl), _form_factor(cols, rrefl)
@@ -184,8 +196,9 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
 
 def _snap_band(work: np.ndarray) -> tuple[np.ndarray, float]:
     """The real upper band of a reduced planar (rows, 4, cols) work array,
-    rows >= cols: the moduli of its band entries, with every other entry
-    written as exact zero, and the largest norm so dropped."""
+    rows >= cols, whose largest entry is near 1: the moduli of its band
+    entries, with every other entry written as exact zero, and the largest
+    norm so dropped."""
     rows, _, cols = work.shape
     band = np.zeros((rows, cols))
     # Moduli by hypot, which neither overflows nor flushes the small
@@ -194,16 +207,12 @@ def _snap_band(work: np.ndarray) -> tuple[np.ndarray, float]:
     for offset, out in enumerate(_band_views(band)):
         w, x, y, z = np.diagonal(planes, offset, 1, 2)
         np.hypot(np.hypot(w, x), np.hypot(y, z), out=out)
-    # Squared norms of a copy scaled by a power of two that brings the
-    # largest value near 1: no square overflows, and only the squares of
-    # values below 2**-511 of it underflow.  The maximum is scaled back.
-    exponent = math.frexp(np.abs(work).max())[1]
-    scaled = np.ldexp(work, -exponent)
-    np.square(scaled, out=scaled)
-    sq = scaled.sum(axis=1)
+    # With the largest value near 1 no square overflows, and only the
+    # squares of values below 2**-511 of it underflow.
+    sq = np.square(work).sum(axis=1)
     for view in _band_views(sq):
         view[:] = 0.0
-    return band, float(np.ldexp(np.sqrt(sq.max(initial=0.0)), exponent))
+    return band, float(np.sqrt(sq.max(initial=0.0)))
 
 
 def _band_views(m: np.ndarray):

@@ -5,7 +5,8 @@ reduction), ``svd`` (full decomposition), ``check`` (verify stored
 factors against the source matrix), ``adjoint-svs`` (oracle singular
 values).  Exit codes: 0 success/pass, 1 verification failure, 2 parse
 or shape problems or a non-finite input entry, 3 numerical failure
-(non-convergence, or oracle runs of four that do not resolve).
+(non-convergence, oracle runs of four that do not resolve, or a result
+beyond the float range).
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ def main(argv=None) -> int:
     except (ShapeMismatch, FormatError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (NoConvergence, GroupingFailure) as err:
+    except (NoConvergence, GroupingFailure, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except OSError as err:

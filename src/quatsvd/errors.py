@@ -17,10 +17,6 @@ class NonFiniteInput(ValueError):
     """Input matrix has a NaN or infinite entry."""
 
 
-class NotSymmetric(ValueError):
-    """Matrix handed to the symmetric eigensolver is not symmetric."""
-
-
 class NoConvergence(RuntimeError):
     """Iteration cap reached before the residual dropped below tolerance."""
 

@@ -20,13 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadTarget, ShapeMismatch
-from .qmat import QMatrix, QVector, _CONJ, _check_finite, _hmatmul, _hscale, _q4
+from .qmat import QMatrix, QVector, _CONJ, _check_finite, _q4
 from .quat import Quaternion
 
 EPS = 2.0 ** -52
 
 __all__ = ["Side", "HouseholderReflector", "left_householder", "right_householder",
-           "right_householder_direct", "apply_left", "apply_right", "form_matrix"]
+           "form_matrix"]
 
 
 class Side(enum.Enum):
@@ -162,77 +162,6 @@ def right_householder(a_row: QVector, v) -> HouseholderReflector:
     data, alpha = _scaled_norm(a_row, v)
     u, zeta4 = _reflector(data * _CONJ, v, alpha)
     return HouseholderReflector(QVector(u), zeta4 * _CONJ, Side.RIGHT)
-
-
-def right_householder_direct(a_row: QVector, v) -> HouseholderReflector:
-    """Right reflector from the closed-form construction, used as a
-    cross-check against :func:`right_householder`.
-
-    The projection uses ``r = |sum_i v_i a_i|`` and
-    ``u_i = (alpha * conj(zeta) * v_i - conj(a_i)) / mu``.  The resulting
-    ``u`` differs from the reduction path by a sign, so only the projector
-    ``u @ conj(u).T`` (and hence the transformation) coincides.
-    """
-    v = _check_target(len(a_row), v)
-    data, alpha = _scaled_norm(a_row, v)
-    if alpha == 0.0:
-        return HouseholderReflector(QVector.zeros(len(a_row)), Quaternion(1.0), Side.RIGHT)
-
-    t = v.dot(data)
-    r = math.hypot(*t)
-    if r <= len(a_row) * EPS * alpha:
-        zeta4 = np.array([1.0, 0.0, 0.0, 0.0])
-        r = 0.0
-    else:
-        zeta4 = -t / r
-    mu = math.sqrt(alpha) * math.sqrt(alpha + r)  # no overflow of alpha**2
-    u = (np.outer(v * alpha, zeta4 * _CONJ) - data * _CONJ) / mu
-    return HouseholderReflector(QVector(u), zeta4, Side.RIGHT)
-
-
-def _apply_left_block(u_data, z4, block):
-    """``z * (block - u (conj(u).T block))`` for a (m, n, 4) component block."""
-    s = _hmatmul((u_data * _CONJ)[np.newaxis, :, :], block)
-    out = block - _hmatmul(u_data[:, np.newaxis, :], s)
-    return _hscale(z4, out, "left")
-
-
-def _apply_right_block(u_data, z4, block):
-    """``(block - (block u) conj(u).T) * z`` for a (m, n, 4) component block."""
-    t = _hmatmul(block, u_data[:, np.newaxis, :])
-    out = block - _hmatmul(t, (u_data * _CONJ)[np.newaxis, :, :])
-    return _hscale(z4, out, "right")
-
-
-def apply_left(h: HouseholderReflector, target):
-    """Apply the reflector from the left without forming the matrix.
-
-    `target` may be a QMatrix (rows must match ``len(h)``) or a QVector,
-    returned as the same type.  Cost is one pass over the entries.
-    """
-    if h.side is not Side.LEFT:
-        raise ValueError("apply_left needs a left-side reflector")
-    if isinstance(target, QVector):
-        return QVector(apply_left(h, QMatrix(target.data[:, np.newaxis])).data[:, 0])
-    if target.rows != len(h):
-        raise ShapeMismatch(f"reflector length {len(h)} does not match {target.rows} rows")
-    if h.is_identity:
-        return target.copy()
-    return QMatrix(_apply_left_block(h.u.data, h.zeta4 * _CONJ, target.data))
-
-
-def apply_right(h: HouseholderReflector, target):
-    """Apply the reflector from the right; `target` is a QMatrix whose
-    column count matches, or a QVector treated as a single row."""
-    if h.side is not Side.RIGHT:
-        raise ValueError("apply_right needs a right-side reflector")
-    if isinstance(target, QVector):
-        return QVector(apply_right(h, QMatrix(target.data[np.newaxis])).data[0])
-    if target.cols != len(h):
-        raise ShapeMismatch(f"reflector length {len(h)} does not match {target.cols} columns")
-    if h.is_identity:
-        return target.copy()
-    return QMatrix(_apply_right_block(h.u.data, h.zeta4 * _CONJ, target.data))
 
 
 def form_matrix(h: HouseholderReflector) -> QMatrix:

@@ -27,22 +27,22 @@ below ~sqrt(eps) * sigma_max (Demmel & Veselic 1992).
 
 A run of four values that spreads beyond the bound raises
 GroupingFailure; a Jacobi run that has not converged after MAX_SWEEPS
-sweeps, or a matrix with a non-finite entry, raises NoConvergence.
+sweeps, or a matrix with a non-finite entry, raises NoConvergence; a
+largest value beyond the float range raises OverflowError.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import GroupingFailure, NoConvergence, NotSymmetric
-from .qmat import QMatrix, RMatrix
+from .errors import GroupingFailure, NoConvergence
+from .qmat import QMatrix, RMatrix, _check_range
 
 MAX_SWEEPS = 50
 BOUND_FACTOR = 8.0
 EPS = float(np.finfo(np.float64).eps)
 
-__all__ = ["real_adjoint", "jacobi_eigen", "adjoint_singular_values",
-           "adjoint_error_bound"]
+__all__ = ["real_adjoint", "adjoint_singular_values", "adjoint_error_bound"]
 
 # Left-multiplication blocks of the quaternion units: chi(q) = w I + x E1 + y E2 + z E3.
 _E1 = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=np.float64)
@@ -60,53 +60,6 @@ def real_adjoint(a: QMatrix) -> RMatrix:
     out += np.kron(comps[..., 2], _E2)
     out += np.kron(comps[..., 3], _E3)
     return RMatrix(out)
-
-
-def jacobi_eigen(s: RMatrix) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations,
-    ascending.  Raises NotSymmetric when the input is not symmetric to
-    1e-12 relative, NoConvergence after 50 full sweeps."""
-    a = s.data
-    if a.shape[0] != a.shape[1]:
-        raise NotSymmetric(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
-    norm = float(np.linalg.norm(a))
-    if float(np.linalg.norm(a - a.T)) > 1e-12 * max(norm, 1e-300):
-        raise NotSymmetric("matrix is not symmetric within 1e-12 relative")
-
-    a = (a + a.T) / 2.0
-    n = a.shape[0]
-    if n == 1 or norm == 0.0:
-        return np.sort(np.diag(a))
-
-    for _ in range(MAX_SWEEPS):
-        off = float(np.linalg.norm(a - np.diag(np.diag(a))))
-        if off <= 1e-14 * norm:
-            return np.sort(np.diag(a))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-15 * norm / n:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(tau) / (abs(tau) + np.sqrt(tau * tau + 1.0))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                sn = t * c
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - sn * row_q
-                a[q, :] = sn * row_p + c * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - sn * col_q
-                a[:, q] = sn * col_p + c * col_q
-
-    off = float(np.linalg.norm(a - np.diag(np.diag(a))))
-    if off <= 1e-14 * norm:
-        return np.sort(np.diag(a))
-    raise NoConvergence(f"Jacobi sweep limit ({MAX_SWEEPS}) reached, off-diagonal {off:.3e}")
 
 
 def adjoint_error_bound(a: QMatrix, sigma_max: float) -> float:
@@ -204,7 +157,8 @@ def adjoint_singular_values(a: QMatrix) -> np.ndarray:
     ``adjoint_error_bound(a, sigma_max)`` of the truth.  Raises
     GroupingFailure when a run of four spreads beyond that bound,
     NoConvergence when Jacobi reaches MAX_SWEEPS sweeps or an entry is
-    not finite.
+    not finite, and OverflowError when the largest value is beyond the
+    float range.
     """
     if not np.isfinite(a.data).all():
         raise NoConvergence("matrix has non-finite entries")
@@ -225,4 +179,6 @@ def adjoint_singular_values(a: QMatrix) -> np.ndarray:
         raise GroupingFailure(
             f"fourfold multiplicity not resolved: group spread {spread:.3e} "
             f"exceeds the error bound {bound:.3e}, both in units of 2**{exponent}")
-    return np.ldexp(groups.mean(axis=1), exponent)
+    means = groups.mean(axis=1)
+    _check_range("largest singular value", means[0], exponent)
+    return np.ldexp(means, exponent)

@@ -77,6 +77,13 @@ def _check_finite(a: _Array) -> None:
             f"entry {at if len(at) > 1 else at[0]} is not finite: {a.data[at].tolist()}")
 
 
+def _check_range(what: str, top: float, exponent: int) -> None:
+    """Raise OverflowError, naming `what`, unless ``top * 2**exponent`` is
+    below 2**1024, the float range, without forming the product."""
+    if math.frexp(top)[1] + exponent > 1024:
+        raise OverflowError(f"{what} {float(top)!r} * 2**{exponent} is beyond the float range")
+
+
 def _safe_norm(flat):
     # Scale by the largest component so squaring cannot overflow.
     m = float(np.abs(flat).max())

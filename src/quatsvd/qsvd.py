@@ -22,7 +22,7 @@ import numpy as np
 from .bidiag import bidiagonalize, extract_band
 from .errors import GroupingFailure, NoConvergence, ShapeMismatch
 from .oracle import adjoint_error_bound, adjoint_singular_values
-from .qmat import QMatrix, _CONJ
+from .qmat import QMatrix, _CONJ, _check_range
 from .rsvd import BidiagonalBand, bidiag_svd
 
 __all__ = ["QsvdResult", "qsvd", "reconstruct", "verify", "CheckResult", "VerifyReport"]
@@ -58,12 +58,14 @@ def qsvd(a: QMatrix, want_vectors: bool = True) -> QsvdResult:
     ``want_vectors=False`` skips forming the factors and returns
     sigma alone.  Raises NonFiniteInput from ``bidiagonalize``, naming the
     first NaN or infinite entry (the prescale leaves such entries as they
-    are), and NoConvergence if the real SVD fails.
+    are), NoConvergence if the real SVD fails, and OverflowError when the
+    largest singular value is beyond the float range.
     """
     exponent = _exponent(a.data)
     bd = bidiagonalize(QMatrix(np.ldexp(a.data, -exponent)), accumulate=want_vectors)
     d, e = extract_band(bd.bidiagonal, lower=not bd.upper)
     core = bidiag_svd(BidiagonalBand(d, e), want_vectors=want_vectors)
+    _check_range("largest singular value", core.sigma[0], exponent)
     sigma = np.ldexp(core.sigma, exponent)
     if not want_vectors:
         return QsvdResult(u=None, sigma=sigma, v=None)
@@ -157,17 +159,17 @@ def verify(a: QMatrix, res: QsvdResult, tol: float = 1e-10,
     checks = []
     rec_denom = scale * norm_a if norm_a > 0.0 else 1.0
     floor = len(sigma) * float(np.ldexp(1.0, -1074 - exponent)) / rec_denom
-    # A huge or non-finite factor entry makes its residual inf or NaN: a failure.
+    # A huge or non-finite factor or sigma entry makes its check inf or NaN: a failure.
     with np.errstate(over="ignore", invalid="ignore"):
         recon = reconstruct(QsvdResult(res.u, np.ldexp(sigma, -exponent), res.v), r, c)
         checks.append(CheckResult(
             "reconstruction", (a_scaled - recon).frobenius_norm() / rec_denom, tol + floor))
         for name, m in (("unitarity(U)", res.u), ("unitarity(V)", res.v)):
             checks.append(CheckResult(name, _unitarity_residual(m) / scale, tol))
-    checks.append(CheckResult(
-        "nonnegativity", max(0.0, -float(sigma.min())) if sigma.size else 0.0, 0.0))
-    ascent = float(np.diff(sigma).max()) if sigma.size > 1 else 0.0
-    checks.append(CheckResult("ordering", max(0.0, ascent), 0.0))
+        checks.append(CheckResult(
+            "nonnegativity", float(np.maximum(0.0, -sigma.min())) if sigma.size else 0.0, 0.0))
+        ascent = np.diff(sigma).max() if sigma.size > 1 else 0.0
+        checks.append(CheckResult("ordering", float(np.maximum(0.0, ascent)), 0.0))
 
     if with_oracle:
         try:
@@ -176,8 +178,8 @@ def verify(a: QMatrix, res: QsvdResult, tol: float = 1e-10,
             dev = float(np.abs(sigma - ref).max()) if sigma.shape == ref.shape else np.inf
             floor = adjoint_error_bound(a, denom) / denom
             checks.append(CheckResult("oracle", dev / denom, tol + floor))
-        except (GroupingFailure, NoConvergence):
-            # Oracle breakdown is reported as a failed check, not an exception.
+        except (GroupingFailure, NoConvergence, OverflowError):
+            # Oracle breakdown, or a sigma no float can hold, is a failed check.
             checks.append(CheckResult("oracle", np.inf, tol))
 
     return VerifyReport(tuple(checks))

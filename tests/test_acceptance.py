@@ -17,12 +17,10 @@ from quatsvd import (
     QVector,
     Quaternion,
     RMatrix,
-    apply_left,
     bidiag_svd,
     bidiagonalize,
     check_bidiagonal,
     form_matrix,
-    jacobi_eigen,
     left_householder,
     qsvd,
     random_qmatrix,
@@ -32,6 +30,7 @@ from quatsvd import (
     write_qmatrix,
 )
 from quatsvd.cli import main
+from references import apply_left, jacobi_eigen
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 

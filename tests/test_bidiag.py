@@ -19,8 +19,6 @@ from quatsvd import (
     Quaternion,
     RMatrix,
     Side,
-    apply_left,
-    apply_right,
     bidiagonalize,
     check_bidiagonal,
     extract_band,
@@ -29,6 +27,7 @@ from quatsvd import (
     random_qmatrix,
     right_householder,
 )
+from references import apply_left, apply_right
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=1, max_value=7)

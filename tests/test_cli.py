@@ -322,6 +322,45 @@ def test_non_finite_input_exits_two_in_every_command(tmp_path, capsys):
         assert not (tmp_path / f"{name}_b" / "B.rmat").exists()
 
 
+def write_real(path, rows, cols, value):
+    data = np.zeros((rows, cols, 4))
+    data[..., 0] = value
+    write_qmatrix(QMatrix(data), path)
+
+
+@pytest.mark.parametrize("command", [["svd"], ["svd", "--values-only"], ["bidiag"],
+                                     ["adjoint-svs"]])
+def test_result_beyond_the_float_range_exits_three(tmp_path, capsys, command):
+    # The column's norm, sqrt(8) * 1e308, is its singular value and its B.
+    src = tmp_path / "big.qmat"
+    write_real(src, 8, 1, 1e308)
+    out = tmp_path / "out"
+    argv = command[:1] + [str(src)] + command[1:]
+    if command[0] != "adjoint-svs":
+        argv += ["--out-dir", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "beyond the float range" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_band_that_fits_is_written_when_sigma_does_not(tmp_path, capsys):
+    # A real 2 x 2 of 1e308 has B = [[r, r], [0, 0]], r = sqrt(2) * 1e308,
+    # and sigma_max = 2e308.
+    src = tmp_path / "big.qmat"
+    write_real(src, 2, 2, 1e308)
+    assert main(["bidiag", str(src), "--out-dir", str(tmp_path / "b")]) == 0
+    band = read_rmatrix(tmp_path / "b" / "B.rmat").data
+    assert band[0] == pytest.approx([np.sqrt(2.0) * 1e308] * 2, rel=1e-15)
+    assert main(["svd", str(src), "--out-dir", str(tmp_path / "s")]) == 3
+    assert "beyond the float range" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("factor", ["U", "S", "V"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_check_rejects_non_finite_factor_entries(tmp_path, capsys, factor, bad):

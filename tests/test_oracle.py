@@ -14,7 +14,6 @@ import quatsvd.oracle as oracle
 from quatsvd import (
     GroupingFailure,
     NoConvergence,
-    NotSymmetric,
     QMatrix,
     QVector,
     Quaternion,
@@ -22,13 +21,13 @@ from quatsvd import (
     adjoint_error_bound,
     adjoint_singular_values,
     form_matrix,
-    jacobi_eigen,
     left_householder,
     qsvd,
     random_qmatrix,
     real_adjoint,
     verify,
 )
+from references import NotSymmetric, jacobi_eigen
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=1, max_value=5)

@@ -15,6 +15,8 @@ from quatsvd import (
     Quaternion,
     RMatrix,
     ShapeMismatch,
+    adjoint_singular_values,
+    bidiagonalize,
     form_matrix,
     left_householder,
     qsvd,
@@ -225,6 +227,92 @@ def test_non_finite_entry_is_named(bad, want_vectors):
     assert issubclass(NonFiniteInput, ValueError)
 
 
+# --- results beyond the float range ----------------------------------------------------
+
+
+def real_1e308(rows, cols):
+    """A real matrix of 1e308s.  The 8 x 1 column's B and sigma, sqrt(8) *
+    1e308, are beyond the float range; the 2 x 2's B fits, with entries
+    sqrt(2) * 1e308, and its sigma_max = 2e308 does not."""
+    data = np.zeros((rows, cols, 4))
+    data[..., 0] = 1e308
+    return QMatrix(data)
+
+
+def gaussian(r, c, seed):
+    return QMatrix(np.random.default_rng(seed).standard_normal((r, c, 4)))
+
+
+@pytest.mark.parametrize("want_vectors", [True, False])
+def test_sigma_beyond_the_float_range_raises(want_vectors):
+    big = QMatrix(np.ldexp(gaussian(32, 32, 0).data, 1020))
+    for a in (big, real_1e308(8, 1), real_1e308(2, 2)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="beyond the float range"):
+                qsvd(a, want_vectors=want_vectors)
+
+
+@pytest.mark.parametrize("want_vectors", [True, False])
+def test_sigma_at_the_top_of_the_float_range_is_exact(want_vectors):
+    base = gaussian(16, 16, 0)
+    a = QMatrix(np.ldexp(base.data, 1020))
+    res = qsvd(a, want_vectors=want_vectors)
+    assert 1.5e308 < res.sigma[0] < np.finfo(np.float64).max
+    # The prescale maps a and base onto the same matrix.
+    assert np.array_equal(res.sigma, np.ldexp(qsvd(base, want_vectors=False).sigma, 1020))
+    if want_vectors:
+        report = verify(a, res)
+        assert report.passed, report.failures()
+
+
+@pytest.mark.parametrize("accumulate", [True, False])
+def test_bidiagonalize_raises_for_a_band_beyond_the_float_range(accumulate):
+    for a in (real_1e308(8, 1), QMatrix(np.full((2, 2, 4), 1e308))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="beyond the float range"):
+                bidiagonalize(a, accumulate=accumulate)
+
+
+def test_bidiagonalize_keeps_a_band_at_the_top_of_the_float_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = bidiagonalize(real_1e308(2, 2))
+    b = res.bidiagonal.data
+    assert b[0] == pytest.approx([np.sqrt(2.0) * 1e308] * 2, rel=1e-15)
+    assert not b[1].any()
+
+
+@pytest.mark.parametrize("k", [1020, -1000])
+def test_bidiagonalize_scales_exactly_by_even_powers_of_two(k):
+    # Its own prescale maps a and base onto the same work copy: B and the
+    # residue scale exactly, L and R do not change at all.
+    base = random_qmatrix(16, 9, np.random.default_rng(3))
+    want = bidiagonalize(base)
+    got = bidiagonalize(QMatrix(np.ldexp(base.data, k)))
+    assert np.array_equal(got.bidiagonal.data, np.ldexp(want.bidiagonal.data, k))
+    assert got.snap_residue == np.ldexp(want.snap_residue, k)
+    assert np.array_equal(got.left.data, want.left.data)
+    assert np.array_equal(got.right.data, want.right.data)
+
+
+def test_oracle_raises_for_a_value_beyond_the_float_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="beyond the float range"):
+            adjoint_singular_values(real_1e308(8, 1))
+
+
+def test_verify_fails_the_oracle_check_for_a_sigma_beyond_the_float_range():
+    top = np.finfo(np.float64).max
+    res = QsvdResult(u=QMatrix.identity(8), sigma=np.array([top]), v=QMatrix.identity(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify(real_1e308(8, 1), res)
+    assert report["oracle"].value == np.inf and not report.passed
+
+
 # --- result/factor plumbing ----------------------------------------------------------
 
 
@@ -343,3 +431,18 @@ def test_verify_without_oracle_has_five_checks():
     assert report["ordering"].bound == 0.0
     with pytest.raises(KeyError):
         report["oracle"]
+
+
+@pytest.mark.parametrize("sigma, failed", [
+    ([np.nan, 1.0, 0.5], {"nonnegativity", "ordering"}),
+    ([1.0, np.nan, 0.5], {"nonnegativity", "ordering"}),
+    ([np.inf, np.inf, 0.5], {"ordering"}),
+    ([1.0, 0.5, -np.inf], {"nonnegativity"}),
+])
+def test_verify_fails_a_non_finite_sigma_without_warning(sigma, failed):
+    a = random_qmatrix(3, 3, np.random.default_rng(2))
+    res = qsvd(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify(a, QsvdResult(u=res.u, sigma=np.array(sigma), v=res.v))
+    assert failed | {"reconstruction", "oracle"} <= {c.name for c in report.failures()}

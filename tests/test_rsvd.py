@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quatsvd.rsvd as rsvd
-from quatsvd import (BidiagonalBand, NoConvergence, NonFiniteInput, RMatrix, bidiag_svd,
-                     jacobi_eigen)
+from quatsvd import BidiagonalBand, NoConvergence, NonFiniteInput, RMatrix, bidiag_svd
+from references import jacobi_eigen
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
