@@ -42,6 +42,11 @@ runs its steps on whole rows of that buffer, and copies it back.  The
 kernels work at the buffer's full width; the columns left of a step's
 pivot get an exact zero update, so they keep their values bit for bit.
 
+The input is scanned once, for the largest modulus that sets the 4**-k
+scale of the work copy.  That value is NaN or infinite exactly when an
+entry is, and only then is A searched for the first such entry, which
+NonFiniteInput names in A's own order, whatever the copy's order.
+
 Tall-or-square input yields an upper bidiagonal B.  A wide matrix is
 reduced in the same pass, as LAPACK's xGEBRD does: the work copy holds
 A*, the factors formed for it swap roles, and the band is transposed,
@@ -58,7 +63,7 @@ import numpy as np
 from .errors import NotBidiagonal
 from .householder import left_householder, right_householder
 from .qmat import (QMatrix, QVector, RMatrix, _CONJ, _HAMILTON, _LMAT_OF, _check_finite,
-                   _check_range, _lmat)
+                   _check_range)
 from .quat import hamilton
 
 __all__ = ["BidiagResult", "bidiagonalize", "check_bidiagonal", "extract_band"]
@@ -83,16 +88,18 @@ def _reflect_left(u: np.ndarray, rows: np.ndarray, c0: int = 0) -> None:
     exact zero update, so they keep their values bit for bit."""
     m, _, n = rows.shape
     flat = rows.reshape(4 * m, n)
-    nmat = _lmat(u).reshape(4 * m, 4)
-    w = nmat.T @ flat
+    nmat = u.dot(_LMAT_OF.T).reshape(4 * m, 4)
+    w = nmat.T.dot(flat)
     w[:, :c0] = 0.0
     flat -= nmat @ w
 
 
 # Contracts the 16 component products of x * y with the structure constants
-# to the components of x * y and expands them to their real form, in one
-# matmul: each column is +- one column of _HAMILTON.
-_HAMILTON_LMAT = _HAMILTON @ _LMAT_OF.T
+# to the components of x * y and expands them to their real form with the
+# signs of conjugation folded into its columns, in one matmul: each column
+# is +- one column of _HAMILTON.  The real form of t times these signs,
+# against u, is the real form of t against conj(u): a sign is exact.
+_HAMILTON_LMAT_CONJ = _HAMILTON @ _LMAT_OF.T * np.tile(_CONJ, 4)
 
 
 def _reflect_right(u: np.ndarray, rows: np.ndarray, c0: int = 0) -> None:
@@ -100,14 +107,16 @@ def _reflect_right(u: np.ndarray, rows: np.ndarray, c0: int = 0) -> None:
     on a planar, C-contiguous (m, 4, n) block: u is padded with exact
     zeros in front to length n, so the columns left of c0 get an exact
     zero update.  t = rows u is one gemm over the columns followed by one
-    contraction with _HAMILTON_LMAT to the 4m x 4 real form of t, and the
-    rank-4 update ``t conj(u).T`` is one gemm of that real form against
-    ``(u * _CONJ).T``."""
+    contraction with _HAMILTON_LMAT_CONJ to the 4m x 4 real form of t with
+    conjugation's signs on its columns, and the rank-4 update
+    ``t conj(u).T`` is one gemm of that against ``u.T``.  In both kernels
+    the small products use ``ndarray.dot``, which costs less per call
+    than ``@``; the rank-4 updates keep ``@``, faster from 48 columns on."""
     m, _, n = rows.shape
     flat = rows.reshape(4 * m, n)
     u = np.concatenate((np.zeros((c0, 4)), u))
-    tmat = ((flat @ u).reshape(m, 16) @ _HAMILTON_LMAT).reshape(4 * m, 4)
-    flat -= tmat @ (u * _CONJ).T
+    tmat = flat.dot(u).reshape(m, 16).dot(_HAMILTON_LMAT_CONJ).reshape(4 * m, 4)
+    flat -= tmat @ u.T
 
 
 _ONE = (1.0, 0.0, 0.0, 0.0)
@@ -123,7 +132,6 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
     NonFiniteInput, naming the first NaN or infinite entry, and
     OverflowError for a B beyond the float range.
     """
-    _check_finite(a)
     wide = a.cols > a.rows
     # Planar copy of A, or of A* when A is wide, so that rows >= cols.
     if wide:
@@ -131,8 +139,12 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
     else:
         work = a.data.transpose(0, 2, 1).copy()
     rows, _, cols = work.shape
+    # The one scan of the input (see the module docstring).
+    top = np.abs(work).max()
+    if not math.isfinite(top):
+        _check_finite(a)
     # An even power of two, so that the builds' square roots scale exactly.
-    scale = 2 * (math.frexp(np.abs(work).max())[1] // 2)
+    scale = 2 * (math.frexp(top)[1] // 2)
     if scale:
         np.ldexp(work, -scale, out=work)
     e1 = np.zeros(rows)
@@ -150,7 +162,7 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
         sub = np.ascontiguousarray(work[k0:, :, k0:])
         for k in range(k0, min(k0 + _NB, cols)):
             i = k - k0
-            h = left_householder(QVector(sub[i:, :, i]), e1[:rows - k])
+            h = left_householder(QVector._wrap(sub[i:, :, i].copy()), e1[:rows - k])
             s = _ONE  # conj(z), the scalar of row k in L*
             if not h.is_identity:
                 _reflect_left(h.u.data, sub[i:], i)
@@ -158,7 +170,8 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
                     s = hamilton(h.zeta4.tolist(), sigma)
                     lrefl.append((k, h.u.data, s))
             if k <= cols - 2:
-                g = right_householder(QVector(sub[i, :, i + 1:].T), e1[:cols - 1 - k])
+                g = right_householder(QVector._wrap(sub[i, :, i + 1:].T.copy()),
+                                     e1[:cols - 1 - k])
                 sigma = _ONE
                 if not g.is_identity:
                     _reflect_right(g.u.data, sub[i:], i + 1)
@@ -217,10 +230,10 @@ def _snap_band(work: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _band_views(m: np.ndarray):
     """Views of the diagonal and the superdiagonal of a C-contiguous
-    (rows, cols) array, rows >= cols."""
-    cols = m.shape[1]
+    (rows, cols) array."""
+    rows, cols = m.shape
     flat = m.ravel()
-    return flat[::cols + 1][:cols], flat[1::cols + 1][:cols - 1]
+    return flat[::cols + 1][:min(rows, cols)], flat[1::cols + 1][:min(rows, cols - 1)]
 
 
 # Steps per panel, in the reduction and in the factors.  Forming 128 x 128
@@ -292,13 +305,14 @@ def _wy_t(vmat: np.ndarray, width: int) -> np.ndarray:
 
 def check_bidiagonal(b: RMatrix, upper: bool, tol: float = 0.0) -> bool:
     """True iff every entry outside the diagonal and the adjacent
-    off-diagonal (super for upper, sub for lower) has magnitude <= tol."""
-    m = b.data
-    rows, cols = m.shape
-    i, j = np.indices((rows, cols))
-    band = (j == i) | ((j == i + 1) if upper else (j == i - 1))
-    outside = m[~band]
-    return bool(outside.size == 0 or np.abs(outside).max() <= tol)
+    off-diagonal (super for upper, sub for lower) has magnitude <= tol;
+    a NaN outside the band makes it False.  The band of a lower B is the
+    upper band of B.T, whose moduli are copied in C order, so that both
+    are zeroed through strided views before one max."""
+    outside = np.abs(b.data if upper else b.data.T, order="C")
+    for view in _band_views(outside):
+        view[:] = 0.0
+    return bool(outside.max() <= tol)
 
 
 def extract_band(b: RMatrix, lower: bool = False):

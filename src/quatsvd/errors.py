@@ -18,7 +18,14 @@ class NonFiniteInput(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """Iteration cap reached before the residual dropped below tolerance."""
+    """An iteration did not converge.  From the band SVD it carries the
+    band's order `n` and Frobenius norm `band_norm`; both are None where
+    the oracle raises it."""
+
+    def __init__(self, message: str, n: int | None = None, band_norm: float | None = None):
+        super().__init__(message)
+        self.n = n
+        self.band_norm = band_norm
 
 
 class GroupingFailure(RuntimeError):

@@ -116,6 +116,15 @@ class _Array:
                 f"got shape {np.shape(data)}")
         self.data = arr
 
+    @classmethod
+    def _wrap(cls, data: np.ndarray):
+        """An instance around `data` as it is, unchecked: only for a fresh
+        C-contiguous float64 array of the right shape that the package has
+        just made, such as a reflector's input copy or its u."""
+        obj = object.__new__(cls)
+        obj.data = data
+        return obj
+
     def copy(self):
         return type(self)(self.data.copy())
 

@@ -60,6 +60,12 @@ def qsvd(a: QMatrix, want_vectors: bool = True) -> QsvdResult:
     first NaN or infinite entry (the prescale leaves such entries as they
     are), NoConvergence if the real SVD fails, and OverflowError when the
     largest singular value is beyond the float range.
+
+    One power of two scales the whole matrix, so an entry more than
+    2**1074 below the largest is flushed to zero before the reduction, as
+    LAPACK's scaling would flush it: diag(2**1000, 2**-1000) gives sigma
+    [2**1000, 0], although 2**-1000 is a normal double.  The error is
+    below the rounding of the largest value, but the small one is lost.
     """
     exponent = _exponent(a.data)
     bd = bidiagonalize(QMatrix(np.ldexp(a.data, -exponent)), accumulate=want_vectors)

@@ -69,7 +69,8 @@ def bidiag_svd(band: BidiagonalBand, want_vectors: bool = True) -> RealSvdResult
     Returns orthogonal W, X and nonnegative descending sigma with
     ``W @ diag(sigma) @ X.T`` equal to the band.  With
     ``want_vectors=False`` W and X come back as identity placeholders.
-    Raises NoConvergence if LAPACK reports that the SVD did not converge.
+    Raises NoConvergence, carrying the band's order and norm, if LAPACK
+    reports that the SVD did not converge.
     """
     dense = band.dense().data
     eye = np.eye(band.n)
@@ -79,7 +80,9 @@ def bidiag_svd(band: BidiagonalBand, want_vectors: bool = True) -> RealSvdResult
             return RealSvdResult(w=RMatrix(eye), sigma=sigma, x=RMatrix(eye.copy()))
         w, _, xt = np.linalg.svd(dense)
     except np.linalg.LinAlgError as err:
-        raise NoConvergence(f"LAPACK bidiagonal SVD: {err}") from None
+        norm = band.frobenius_norm()
+        raise NoConvergence(f"LAPACK bidiagonal SVD of order n={band.n}, band norm "
+                            f"{norm!r}: {err}", n=band.n, band_norm=norm) from None
     pivot = w[np.argmax(np.abs(w), axis=0), np.arange(band.n)]
     flip = np.where(pivot < 0.0, -1.0, 1.0)
     return RealSvdResult(w=RMatrix(w * flip), sigma=sigma, x=RMatrix(xt.T * flip))

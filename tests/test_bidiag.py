@@ -357,6 +357,27 @@ def test_padded_update_leaves_the_columns_left_of_c0_exact(side, c0):
         assert np.allclose(out[:, :, c0:], alone, rtol=0, atol=64 * EPS * np.abs(block).max())
 
 
+@pytest.mark.parametrize("c0", [0, 1, 3])
+def test_right_kernel_folds_the_conjugation_signs_exactly(c0):
+    """The right kernel's contraction constant carries conjugation's signs,
+    so that its update multiplies by u.T; a sign is exact, so the block
+    gets the same bits as from the unfolded formula, the real form of t
+    against (u * conj signs).T, written out here with @."""
+    rng = np.random.default_rng(21 + c0)
+    hamilton_lmat = bidiag._HAMILTON @ bidiag._LMAT_OF.T
+    for _ in range(10):
+        block = rng.standard_normal((6, 4, 7)) * 10.0 ** rng.uniform(-3, 3, (6, 4, 7))
+        u = rng.standard_normal((7 - c0, 4))
+        u *= np.sqrt(2.0) / np.linalg.norm(u)
+        out = block.copy()
+        bidiag._reflect_right(u, out, c0)
+        flat = block.reshape(24, 7).copy()
+        padded = np.concatenate((np.zeros((c0, 4)), u))
+        tmat = ((flat @ padded).reshape(6, 16) @ hamilton_lmat).reshape(24, 4)
+        flat -= tmat @ (padded * bidiag._CONJ).T
+        assert np.array_equal(out, flat.reshape(6, 4, 7))
+
+
 def _identity_left_reflector_under_a_superdiagonal():
     """3 x 3 inputs whose step-1 left reflector is the identity (d1 = 0)
     while row 1 still holds the superdiagonal entry e1 != 0: the real
@@ -413,11 +434,21 @@ def test_kernels_apply_the_bare_reflector(side):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("accumulate", [True, False])
 def test_non_finite_entry_is_named(bad, accumulate):
+    """The first bad entry in A's own row-major order is named.  A wide A
+    is reduced through its conjugate transpose, whose planar copy meets
+    entry (2, 0) before (1, 2), and an Inf may come before a NaN."""
     a = random_qmatrix(4, 3, np.random.default_rng(6))
     a.data[2, 1, 3] = bad
     a.data[3, 2, 0] = bad
     with pytest.raises(NonFiniteInput, match=r"\(2, 1\)"):
         bidiagonalize(a, accumulate=accumulate)
+    for shape, first, second in [((3, 4), bad, bad), ((4, 3), np.inf, np.nan),
+                                 ((3, 4), np.inf, np.nan)]:
+        a = random_qmatrix(*shape, np.random.default_rng(6))
+        a.data[1, 2, 1] = first
+        a.data[2, 0, 0] = second
+        with pytest.raises(NonFiniteInput, match=r"\(1, 2\)"):
+            bidiagonalize(a, accumulate=accumulate)
 
 
 def test_reduction_avoids_interleaved_hamilton_kernels():
@@ -617,6 +648,18 @@ def test_snap_residue_scales_with_the_input(shape, accumulate):
         ([[1.0, 2.0, 5.0], [0.0, 3.0, 4.0]], True, False),
         ([[1.0], [2.0], [0.0]], False, True),
         ([[1.0], [2.0], [0.0]], True, False),
+        ([[5.0]], True, True),
+        ([[5.0]], False, True),
+        ([[1.0, 2.0, 0.0]], True, True),
+        ([[1.0, 2.0, 4.0]], True, False),
+        ([[1.0, 2.0, 0.0]], False, False),
+        ([[1.0, 0.0, 0.0]], False, True),
+        ([[1.0], [0.0], [4.0]], True, False),
+        ([[1.0], [0.0], [4.0]], False, False),
+        ([[1.0], [2.0], [0.0]], False, True),
+        # a NaN on the band is not looked at; one off it fails the check
+        ([[1.0, np.nan], [0.0, 1.0]], True, True),
+        ([[1.0, 0.0], [np.nan, 1.0]], True, False),
     ],
 )
 def test_check_bidiagonal_table(m, upper, ok):
@@ -627,6 +670,11 @@ def test_check_bidiagonal_tolerance():
     m = RMatrix(np.array([[1.0, 0.0], [1e-13, 1.0]]))
     assert not check_bidiagonal(m, upper=True)
     assert check_bidiagonal(m, upper=True, tol=1e-12)
+    # tall lower: the entry (2, 0) is below the subdiagonal
+    m = RMatrix(np.array([[1.0, 0.0], [2.0, 1.0], [-1e-13, 3.0]]))
+    assert not check_bidiagonal(m, upper=False)
+    assert check_bidiagonal(m, upper=False, tol=1e-12)
+    assert not check_bidiagonal(m, upper=True, tol=1e-12)
 
 
 @pytest.mark.parametrize(

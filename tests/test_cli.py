@@ -1,6 +1,7 @@
 """Command-line workflows over QMAT/RMAT files, driven in-process."""
 
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -267,6 +268,22 @@ def test_adjoint_svs_grouping_failure_exits_three(tmp_path, capsys, monkeypatch)
     assert code == 3
     assert "error:" in captured.err
     assert captured.out == ""
+
+
+def test_band_svd_failure_exits_three_with_its_counters(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    src = tmp_path / "a.qmat"
+    write_qmatrix(random_qmatrix(3, 2, np.random.default_rng(4)), src)
+    code = main(["svd", str(src), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3
+    # The band's order and its norm, a positive float, are on stderr.
+    assert "n=2" in err
+    norm = re.search(r"band norm (\S+):", err)
+    assert norm is not None and float(norm.group(1)) > 0.0
 
 
 # --- failure modes ----------------------------------------------------------------

@@ -4,12 +4,16 @@ A = P diag(sigma) Q* with random orthonormal P and Q (xLATMS-style, see
 ``references.known_sigma_matrix``) gives a reference that no SVD code
 computed.  Both qsvd modes must return sigma within
 
-    C * max(r, c) * eps * sigma_max,   C = 16.
+    C * max(r, c) * eps * sigma_max + n * 2**-1074,   C = 16.
 
 C covers three roundings: forming A (each entry a sum of n products,
 of norm about sqrt(n) * eps * sigma_max in all), the loss of
 orthogonality of P and Q after Gram-Schmidt twice (a few eps), and
-qsvd's own backward error (a few max(r, c) * eps * sigma_max).
+qsvd's own backward error (a few max(r, c) * eps * sigma_max).  The
+second term is the float64 floor: near the underflow threshold every
+entry of A and every sigma is rounded to a multiple of 2**-1074.  The
+relative term is formed as one ldexp of C * max(r, c) * eps, since
+eps * sigma_max underflows to zero at sigma_max = 2**-1060.
 """
 
 from functools import lru_cache
@@ -22,7 +26,9 @@ from references import known_sigma_matrix, random_orthonormal_columns
 
 EPS = 2.0 ** -52
 C = 16.0
-SHAPES = [(12, 12), (24, 9), (9, 24)]
+# The last two are checked without the oracle, whose cost grows as n**3
+# on the 4r x 4c real adjoint.
+SHAPES = [(12, 12), (24, 9), (9, 24), (48, 48), (96, 40)]
 
 
 @lru_cache(maxsize=None)
@@ -44,28 +50,44 @@ def prescribed(mode: str, n: int) -> np.ndarray:
         return np.where(i < n // 2, 1.0 - i / n, 0.0)
     if mode == "one-large":  # condition number 1/sqrt(eps)
         return np.where(i == 0, 1.0, np.sqrt(EPS))
+    if mode == "one-small":  # condition number 1/eps
+        return np.where(i == n - 1, EPS, 1.0)
+    if mode == "arithmetic":  # from 1 down to eps
+        return 1.0 - i / (n - 1) * (1.0 - EPS)
+    if mode == "log-uniform":  # 1, then random in (eps, 1) with uniform log
+        rest = EPS ** np.random.default_rng(17).uniform(0.0, 1.0, n - 1)
+        return np.concatenate(([1.0], np.sort(rest)[::-1]))
+    if mode == "geometric-sqrt":  # condition number 1/sqrt(eps)
+        return np.sqrt(EPS) ** (i / (n - 1))
     raise ValueError(mode)
 
 
-# (factor, exponent): sigma_max = factor * 2**exponent.  The last one is
-# 2**1024 - 2**1004, just below the largest double, 2**1024 - 2**971.
-SCALES = [(1.0, 0), (1.0, 1000), (1.0, -1000), (2.0 - 2.0 ** -19, 1023)]
+# (factor, exponent): sigma_max = factor * 2**exponent.  The fourth one is
+# 2**1024 - 2**1004, just below the largest double, 2**1024 - 2**971.  The
+# last three reach the underflow threshold: 2**-1022 is the smallest
+# normal double, and at 2**-1040 and 2**-1060 sigma_max itself is
+# subnormal, so most entries of A and most prescribed sigma are too.
+SCALES = [(1.0, 0), (1.0, 1000), (1.0, -1000), (2.0 - 2.0 ** -19, 1023),
+          (1.0, -1022), (1.0, -1040), (1.0, -1060)]
+MODES = ["geometric", "repeated", "rank", "one-large", "one-small", "arithmetic",
+         "log-uniform", "geometric-sqrt"]
 
 
 @pytest.mark.parametrize("shape", SHAPES)
-@pytest.mark.parametrize("mode", ["geometric", "repeated", "rank", "one-large"])
+@pytest.mark.parametrize("mode", MODES)
 def test_qsvd_recovers_prescribed_sigma(mode, shape):
     r, c = shape
-    base = prescribed(mode, min(r, c))
+    n = min(r, c)
+    base = prescribed(mode, n)
     for factor, exponent in SCALES:
         a = known_sigma_matrix(base * factor, *factors(r, c), exponent)
         want = np.ldexp(base * factor, exponent)
-        bound = C * max(r, c) * EPS * want[0]
+        bound = np.ldexp(C * max(r, c) * EPS * factor, exponent) + n * 2.0 ** -1074
         full = qsvd(a)
         values = qsvd(a, want_vectors=False)
         assert np.abs(full.sigma - want).max() <= bound, (factor, exponent)
         assert np.abs(values.sigma - want).max() <= bound, (factor, exponent)
-        report = verify(a, full)
+        report = verify(a, full, with_oracle=max(r, c) <= 24)
         assert report.passed, (factor, exponent, report.failures())
 
 

@@ -237,8 +237,10 @@ def test_verify_accepts_values_near_the_overflow_threshold(components, exponent)
 
 def test_adjoint_singular_values_sweep_cap(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_SWEEPS", 1)
-    with pytest.raises(NoConvergence):
+    with pytest.raises(NoConvergence) as info:
         adjoint_singular_values(random_qmatrix(4, 4, np.random.default_rng(2)))
+    # The band's order and norm belong to the band SVD's failures only.
+    assert info.value.n is None and info.value.band_norm is None
 
 
 def test_adjoint_singular_values_spread_beyond_bound(monkeypatch):

@@ -153,8 +153,14 @@ def test_lapack_failure_raises_no_convergence(monkeypatch):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(rsvd.np.linalg, "svd", fail)
-    with pytest.raises(NoConvergence):
-        bidiag_svd(BidiagonalBand([1.0, 2.0], [1.0]))
+    band = BidiagonalBand([1.0, 2.0], [1.0])
+    for want_vectors in (True, False):
+        with pytest.raises(NoConvergence) as info:
+            bidiag_svd(band, want_vectors=want_vectors)
+        # The error carries the band's order and norm, in its message too.
+        assert info.value.n == 2
+        assert info.value.band_norm == band.frobenius_norm() == np.sqrt(6.0)
+        assert "n=2" in str(info.value) and repr(float(np.sqrt(6.0))) in str(info.value)
 
 
 def test_band_svd_has_no_python_loops():
