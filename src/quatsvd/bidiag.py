@@ -42,10 +42,11 @@ runs its steps on whole rows of that buffer, and copies it back.  The
 kernels work at the buffer's full width; the columns left of a step's
 pivot get an exact zero update, so they keep their values bit for bit.
 
-The input is scanned once, for the largest modulus that sets the 4**-k
-scale of the work copy.  That value is NaN or infinite exactly when an
-entry is, and only then is A searched for the first such entry, which
-NonFiniteInput names in A's own order, whatever the copy's order.
+The input is scanned once, for the largest modulus, which sets the 2**-e
+scale of the work copy by qsvd's rule, into [1/2, 1): A, qsvd's scaled
+copy and any exact 2**j A give the same L and R.  That value is NaN or
+infinite exactly when an entry is, and only then is A searched for the
+first such entry, which NonFiniteInput names in A's own order.
 
 Tall-or-square input yields an upper bidiagonal B.  A wide matrix is
 reduced in the same pass, as LAPACK's xGEBRD does: the work copy holds
@@ -127,8 +128,8 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
 
     With ``accumulate=False`` the factors are skipped (returned as None)
     and only the band and the snap diagnostic are produced.  The reduction
-    runs on a copy scaled by 4**-k that brings the largest entry into
-    [1/2, 2): L and R do not change and B scales exactly.  Raises
+    runs on a copy scaled by 2**-e that brings the largest entry into
+    [1/2, 1): L and R do not change and B scales exactly.  Raises
     NonFiniteInput, naming the first NaN or infinite entry, and
     OverflowError for a B beyond the float range.
     """
@@ -143,8 +144,7 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
     top = np.abs(work).max()
     if not math.isfinite(top):
         _check_finite(a)
-    # An even power of two, so that the builds' square roots scale exactly.
-    scale = 2 * (math.frexp(top)[1] // 2)
+    scale = math.frexp(top)[1]
     if scale:
         np.ldexp(work, -scale, out=work)
     e1 = np.zeros(rows)

@@ -34,34 +34,23 @@ class _CommandError(Exception):
         self.code = code
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _argument(convert, valid, complaint: str):
+    """An argparse type: `convert` the text, then check it with `valid`."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            noun = "an integer" if convert is int else "a number"
+            raise argparse.ArgumentTypeError(f"not {noun}: {text!r}") from None
+        if not valid(value):
+            raise argparse.ArgumentTypeError(complaint.format(value))
+        return value
+    return parse
 
 
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if not 0 <= value < 2 ** 64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
-    return value
-
-
-def _tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError("tolerance must be positive")
-    return value
+_positive_int = _argument(int, lambda v: v >= 1, "must be >= 1, got {}")
+_seed = _argument(int, lambda v: 0 <= v < 2 ** 64, "seed must fit in an unsigned 64-bit integer")
+_tolerance = _argument(float, lambda v: v > 0.0, "tolerance must be positive")
 
 
 def _read(path: str, reader):
@@ -206,17 +195,13 @@ def main(argv=None) -> int:
     try:
         return ns.func(ns)
     except _CommandError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return err.code
-    except (ShapeMismatch, FormatError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        code, message = err.code, str(err)
+    except (ShapeMismatch, FormatError, OSError) as err:
+        code, message = 2, str(err)
     except (NoConvergence, GroupingFailure, OverflowError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        code, message = 3, str(err)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def entry() -> None:

@@ -58,9 +58,22 @@ def _content_lines(raw_lines):
         yield line_no, text
 
 
+def _read_text(path) -> str:
+    """The file as text mode reads it, but a byte that is not UTF-8 is a
+    FormatError naming its line (no multibyte character holds CR or LF)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:  # a search for b"\r\n" alone costs more than the decode
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise FormatError(data.count(b"\n", 0, err.start) + 1,
+                          f"byte {data[err.start]:#04x} is not valid UTF-8") from None
+
+
 def _read_body(path, magic, per_line):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     raw = text.split("\n")
     return _regular_body(text, raw, magic, per_line) or _parse_lines(raw, magic, per_line)
 
@@ -116,7 +129,8 @@ def _parse_lines(raw, magic, per_line):
         raise FormatError(line_no, f"dimensions must be positive, got {rows} x {cols}")
 
     count = rows * cols
-    values = np.empty(count * per_line, dtype=np.float64)
+    # Sized by the file too, so that no header allocates beyond it.
+    values = np.empty(min(count, len(raw)) * per_line, dtype=np.float64)
     filled = 0
     last_line = line_no
     for line_no, text in lines:
@@ -147,7 +161,6 @@ def _next_line(lines, missing_message):
 
 def matrix_file_kind(path) -> str:
     """Peek at the header magic of a matrix file ('QMAT' or 'RMAT')."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for _, text in _content_lines(fh):
-            return text.split()[0]
+    for _, text in _content_lines(_read_text(path).split("\n")):
+        return text.split()[0]
     raise FormatError(0, "empty file")

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadTarget, ShapeMismatch
-from .qmat import QMatrix, QVector, _CONJ, _check_finite, _q4
+from .qmat import (QMatrix, QVector, _CONJ, _SQ_MAX, _SQ_MIN, _check_finite, _q4,
+                   _rescaled_squares)
 from .quat import Quaternion
 
 EPS = 2.0 ** -52
@@ -79,43 +80,23 @@ def _check_target(n: int, v) -> np.ndarray:
     return v
 
 
-# Sums of squares a build takes as they come.  Inside this range no step of
-# the construction overflows, and a square that underflows is below 2**-54
-# of the sum, so its rounding costs less than 2**-107 of it.
-_SQ_MIN, _SQ_MAX = 2.0 ** -968, 2.0 ** 968
-
-
 def _scaled_norm(a: QVector, v: np.ndarray) -> tuple[np.ndarray, float]:
-    """``(data, alpha)``: the components of `a` and their norm from one dot
-    product.  Raises BadTarget unless the target `v` has unit norm.
-    Only a sum of squares outside [_SQ_MIN, _SQ_MAX] costs more:
-    NonFiniteInput for a NaN or infinite entry, alpha = 0 for a zero `a`,
-    and otherwise the components times 4**k, for which every later step of
-    a build is exact, so u and zeta come out as from `a`.
-
-    Both sums of squares use ``np.vdot``: on float64 vectors it calls the
-    same BLAS dot as ``ndarray.dot``, so the bits agree, but it sets no
-    floating-point warning, so no ``np.errstate`` (a tenth of a small
-    build's time) is needed; an overflow still gives inf, which the range
-    test sends to the slow path.  Should a numpy release make ``vdot``
-    warn, the tests' RuntimeWarning filter fails the overflow and
-    bad-target tests."""
+    """``(data, alpha)``: the components of `a` and their norm by qmat's
+    norm rule, its range test inline so that a build pays no extra call.
+    Raises BadTarget unless the target `v` has unit norm, and outside the
+    range NonFiniteInput for a NaN or infinite entry; a rescaled `a` comes
+    back times a power of two for which every later step of a build is
+    exact, so u and zeta come out as from `a`."""
     data = a.data
     flat = data.ravel()
     sq = np.vdot(flat, flat)
     v_sq = np.vdot(v, v)
     if not abs(math.sqrt(v_sq) - 1.0) <= 1e-12:  # rejects a NaN norm too
         raise BadTarget(f"target vector must have unit norm, got {math.sqrt(v_sq)!r}")
-    if _SQ_MIN <= sq <= _SQ_MAX:
-        return data, math.sqrt(sq)
-    _check_finite(a)
-    biggest = np.abs(flat).max()
-    if biggest == 0.0:
-        return data, 0.0
-    # Brings the largest component into [0.5, 2).
-    data = np.ldexp(data, -2 * (int(np.frexp(biggest)[1]) // 2))
-    flat = data.ravel()
-    return data, math.sqrt(flat.dot(flat))
+    if not _SQ_MIN <= sq <= _SQ_MAX:
+        _check_finite(a)
+        _, data, sq = _rescaled_squares(data)
+    return data, math.sqrt(sq)
 
 
 def _reflector(a_data: np.ndarray, v: np.ndarray, alpha: float):

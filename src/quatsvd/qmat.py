@@ -84,13 +84,34 @@ def _check_range(what: str, top: float, exponent: int) -> None:
         raise OverflowError(f"{what} {float(top)!r} * 2**{exponent} is beyond the float range")
 
 
-def _safe_norm(flat):
-    # Scale by the largest component so squaring cannot overflow.
-    m = float(np.abs(flat).max())
-    if m == 0.0 or not math.isfinite(m):
-        return m
-    scaled = flat / m
-    return m * math.sqrt(scaled.dot(scaled))
+# The norm rule.  A sum of squares is one np.vdot: on float64 it calls the
+# same BLAS dot as ndarray.dot, bit for bit, but sets no floating-point
+# warning, so needs no np.errstate (the tests' RuntimeWarning filter fails
+# the overflow tests should a numpy release make it warn).  A sum inside
+# [_SQ_MIN, _SQ_MAX] is taken as it comes: no step of a reflector build
+# overflows, and a square that underflows is below 2**-54 of the sum, so
+# its rounding costs less than 2**-107 of it; _rescaled_squares takes others.
+_SQ_MIN, _SQ_MAX = 2.0 ** -968, 2.0 ** 968
+
+
+def _rescaled_squares(data: np.ndarray) -> tuple[int, np.ndarray, np.float64]:
+    """``(e, data * 2**-e, sq)``, sq the sum of squares of the scaled data,
+    for the even e that brings the largest entry into [1/2, 2), exactly; e
+    is 0 for a zero, NaN or infinite largest entry, and sq is 0, NaN or inf."""
+    e = 2 * (int(np.frexp(np.abs(data).max())[1]) // 2)
+    data = np.ldexp(data, -e)
+    return e, data, np.vdot(data, data)
+
+
+def _safe_norm(data: np.ndarray) -> float:
+    """Euclidean norm of an array's entries by the norm rule, warning-free:
+    NaN for a NaN entry, inf for an infinite one or beyond the float range."""
+    sq = np.vdot(data, data)
+    if _SQ_MIN <= sq <= _SQ_MAX:
+        return math.sqrt(sq)
+    e, _, sq = _rescaled_squares(data)
+    root = math.sqrt(sq)
+    return math.ldexp(root, e) if math.frexp(root)[1] + e <= 1024 else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +168,7 @@ class _Matrix(_Array):
         return (self.rows, self.cols)
 
     def frobenius_norm(self) -> float:
-        return _safe_norm(self.data.ravel())
+        return _safe_norm(self.data)
 
     def _fit(self, other: _Matrix, op: str) -> None:
         """Raise ShapeMismatch unless `other` fits: inner sizes for @, shapes else."""
@@ -185,7 +206,7 @@ class QVector(_Array):
 
     def norm(self) -> float:
         """Euclidean norm, the square root of the summed squared moduli."""
-        return _safe_norm(self.data.ravel())
+        return _safe_norm(self.data)
 
     def outer_hermitian(self) -> QMatrix:
         """Rank-one Hermitian matrix with entries ``u_i * conj(u_j)``."""

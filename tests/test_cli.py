@@ -298,6 +298,20 @@ def test_malformed_header_exits_two(tmp_path, capsys):
     assert "line 1" in captured.err
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"QMAT 1\n1 1\n1 0 \xff 0\n", "line 3: byte 0xff is not valid UTF-8"),
+    (b"QMAT 1\n99999999999 99999999999\n1 0 0 0\n", "line 3: expected"),
+], ids=["not-utf8", "huge-dimensions"])
+def test_unreadable_input_exits_two_naming_the_path(tmp_path, capsys, content, message):
+    bad = tmp_path / "bad.qmat"
+    bad.write_bytes(content)
+    code = main(["svd", str(bad), "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"{bad}: {message}" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_missing_input_exits_two(tmp_path, capsys):
     code = main(["svd", str(tmp_path / "absent.qmat"), "--out-dir", str(tmp_path / "out")])
     captured = capsys.readouterr()

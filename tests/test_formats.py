@@ -69,6 +69,16 @@ def test_comments_and_blank_lines_ignored(tmp_path):
     assert list(m.data[0, 0]) == [1.0, 2.0, 3.0, 4.0]
 
 
+def test_crlf_and_cr_line_ends_read_as_lf(tmp_path):
+    path = tmp_path / "c.qmat"
+    write_qmatrix(QMatrix(np.arange(8.0).reshape(2, 1, 4)), path)
+    lf = path.read_bytes()
+    for newline in (b"\r\n", b"\r"):
+        path.write_bytes(lf.replace(b"\n", newline))
+        assert np.array_equal(read_qmatrix(path).data, np.arange(8.0).reshape(2, 1, 4))
+        assert matrix_file_kind(path) == "QMAT"
+
+
 @pytest.mark.parametrize("content, line_no", [
     ("QMAT 2\n1 1\n1 0 0 0\n", 1),
     ("RMAT 1\n1 1\n1\n", 1),           # wrong magic for a qmat read
@@ -78,10 +88,12 @@ def test_comments_and_blank_lines_ignored(tmp_path):
     ("QMAT 1\n1 1\n1 0 0\n", 3),
     ("QMAT 1\n1 1\n1 0 0 nope\n", 3),
     ("QMAT 1\n1 1\n1 0 0 0\n9 9 9 9\n", 4),
+    ("QMAT 1\n# caf\xe9\n1 1\n1 0 0 0\n", 2),  # byte 0xe9, not UTF-8
+    ("QMAT 1\r1 1\r1 0 \xff 0\r", 3),  # lone CR line ends count as lines
 ])
 def test_parse_errors_carry_line_numbers(tmp_path, content, line_no):
     path = tmp_path / "bad.qmat"
-    path.write_text(content)
+    path.write_text(content, encoding="latin-1")  # one byte per character
     with pytest.raises(FormatError) as err:
         read_qmatrix(path)
     assert err.value.line_no == line_no
@@ -94,6 +106,11 @@ def test_truncated_file_reports_last_line(tmp_path):
     with pytest.raises(FormatError) as err:
         read_qmatrix(path)
     assert "expected 4 entry line(s)" in str(err.value)
+    # Dimensions far beyond memory allocate nothing before the count.
+    path.write_text("QMAT 1\n99999999999 99999999999\n1 0 0 0\n")
+    with pytest.raises(FormatError) as err:
+        read_qmatrix(path)
+    assert err.value.line_no == 3 and "file ended after 1" in str(err.value)
 
 
 def test_empty_file(tmp_path):
@@ -102,6 +119,9 @@ def test_empty_file(tmp_path):
     with pytest.raises(FormatError):
         read_qmatrix(path)
     with pytest.raises(FormatError):
+        matrix_file_kind(path)
+    path.write_bytes(b"\xffQMAT 1\n")
+    with pytest.raises(FormatError, match="line 1: byte 0xff is not valid UTF-8"):
         matrix_file_kind(path)
 
 

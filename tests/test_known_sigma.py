@@ -59,6 +59,13 @@ def prescribed(mode: str, n: int) -> np.ndarray:
         return np.concatenate(([1.0], np.sort(rest)[::-1]))
     if mode == "geometric-sqrt":  # condition number 1/sqrt(eps)
         return np.sqrt(EPS) ** (i / (n - 1))
+    if mode == "one-small-sqrt":  # condition number 1/sqrt(eps)
+        return np.where(i == n - 1, np.sqrt(EPS), 1.0)
+    if mode == "arithmetic-sqrt":  # from 1 down to sqrt(eps)
+        return 1.0 - i / (n - 1) * (1.0 - np.sqrt(EPS))
+    if mode == "log-uniform-sqrt":  # 1, then random in (sqrt(eps), 1) with uniform log
+        rest = np.sqrt(EPS) ** np.random.default_rng(19).uniform(0.0, 1.0, n - 1)
+        return np.concatenate(([1.0], np.sort(rest)[::-1]))
     raise ValueError(mode)
 
 
@@ -70,7 +77,8 @@ def prescribed(mode: str, n: int) -> np.ndarray:
 SCALES = [(1.0, 0), (1.0, 1000), (1.0, -1000), (2.0 - 2.0 ** -19, 1023),
           (1.0, -1022), (1.0, -1040), (1.0, -1060)]
 MODES = ["geometric", "repeated", "rank", "one-large", "one-small", "arithmetic",
-         "log-uniform", "geometric-sqrt"]
+         "log-uniform", "geometric-sqrt", "one-small-sqrt", "arithmetic-sqrt",
+         "log-uniform-sqrt"]
 
 
 @pytest.mark.parametrize("shape", SHAPES)

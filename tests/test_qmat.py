@@ -1,4 +1,6 @@
 import ast
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from quatsvd.qmat import (QMatrix, QVector, RMatrix, _hmatmul, _hscale, _lmat, _
 from quatsvd.quat import I, J, K, Quaternion
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
+EPS = 2.0 ** -52
 
 
 def e1(n):
@@ -73,11 +76,36 @@ def test_matmul_order_preserved():
     assert (a @ b)[0, 0] == J + K
 
 
+def extreme_components(shape, seed):
+    """Components of `shape` at the edges of the float range: 2**1000,
+    2**-1000, all subnormal, finite with a norm beyond the float range, and
+    with one infinite or one NaN entry."""
+    base = np.random.default_rng(seed).uniform(-1, 1, shape)
+    cases = [np.ldexp(base, 1000), np.ldexp(base, -1000), np.ldexp(base, -1060),
+             np.full(shape, 2.0 ** 1023)]
+    for bad in (np.inf, np.nan):
+        cases.append(base.copy())
+        cases[-1].flat[-1] = bad
+    return cases
+
+
+def assert_norm(norm, data):
+    """`norm()` of `data` is math.hypot of its components within 4 eps, inf
+    beyond the float range and NaN for a NaN entry, with no warning."""
+    want = math.hypot(*data.ravel().tolist())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = norm()
+    assert math.isnan(got) if math.isnan(want) else got == pytest.approx(want, rel=4 * EPS, abs=0.0)
+
+
 def test_vector_norms():
     assert QVector.from_quaternions([Quaternion(1), I]).norm() == pytest.approx(np.sqrt(2), rel=1e-15)
     assert QVector.zeros(3).norm() == 0.0
     v = QVector.from_quaternions([Quaternion(1, 1, 1, 1), Quaternion(2)])
     assert v.norm() == pytest.approx(np.sqrt(8), rel=1e-15)
+    for data in extreme_components((5, 4), 6):
+        assert_norm(QVector(data).norm, data)
 
 
 def test_frobenius_norms():
@@ -86,6 +114,10 @@ def test_frobenius_norms():
     assert QMatrix.zeros(3, 2).frobenius_norm() == 0.0
     d = QMatrix.from_quaternions([[Quaternion(3), Quaternion(0)], [Quaternion(0), Quaternion(4)]])
     assert d.frobenius_norm() == pytest.approx(5.0, rel=1e-15)
+    for shape in [(3, 2, 4), (200, 24, 4)]:
+        for data in extreme_components(shape, 7):
+            assert_norm(QMatrix(data).frobenius_norm, data)
+            assert_norm(RMatrix(data[..., 0]).frobenius_norm, data[..., 0])
 
 
 def test_frobenius_overflow_safe():

@@ -24,7 +24,7 @@ from quatsvd import (
     reconstruct,
     verify,
 )
-from quatsvd.qsvd import _unitarity_residual
+from quatsvd.qsvd import _exponent, _unitarity_residual
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=1, max_value=7)
@@ -284,17 +284,22 @@ def test_bidiagonalize_keeps_a_band_at_the_top_of_the_float_range():
     assert not b[1].any()
 
 
-@pytest.mark.parametrize("k", [1020, -1000])
-def test_bidiagonalize_scales_exactly_by_even_powers_of_two(k):
-    # Its own prescale maps a and base onto the same work copy: B and the
-    # residue scale exactly, L and R do not change at all.
+@pytest.mark.parametrize("k", [1020, -1000, 1021, -999, 3])
+def test_bidiagonalize_scales_exactly_by_powers_of_two(k):
+    # Its own prescale maps a, base and qsvd's prescaled copy onto the same
+    # work copy, for odd and even k: B and the residue scale exactly, L and
+    # R do not change at all.
     base = random_qmatrix(16, 9, np.random.default_rng(3))
+    a = np.ldexp(base.data, k)
     want = bidiagonalize(base)
-    got = bidiagonalize(QMatrix(np.ldexp(base.data, k)))
+    got = bidiagonalize(QMatrix(a))
     assert np.array_equal(got.bidiagonal.data, np.ldexp(want.bidiagonal.data, k))
     assert got.snap_residue == np.ldexp(want.snap_residue, k)
     assert np.array_equal(got.left.data, want.left.data)
     assert np.array_equal(got.right.data, want.right.data)
+    prescaled = bidiagonalize(QMatrix(np.ldexp(a, -_exponent(a))))
+    assert np.array_equal(prescaled.left.data, got.left.data)
+    assert np.array_equal(prescaled.right.data, got.right.data)
 
 
 def test_oracle_raises_for_a_value_beyond_the_float_range():

@@ -197,7 +197,14 @@ def test_band_dense_and_norm():
 @pytest.mark.parametrize("d, e, norm", [
     ([1e200, 1.0], [1e200], np.sqrt(2) * 1e200),  # squaring 1e200 overflows
     ([1e-200] * 2, [1e-200], np.sqrt(3) * 1e-200),  # squaring 1e-200 underflows
-], ids=["1e200", "1e-200"])
+    ([2.0 ** 1000, -0.75 * 2 ** 1000], [0.3 * 2 ** 1000], math.hypot(1, 0.75, 0.3) * 2 ** 1000),
+    ([2.0 ** -1000, -0.75 * 2 ** -1000], [0.3 * 2 ** -1000],
+     math.hypot(1, 0.75, 0.3) * 2 ** -1000),
+    ([5e-324, 2.0 ** -1060], [-3e-320], math.hypot(5e-324, 2.0 ** -1060, 3e-320)),
+    ([2.0 ** 1023] * 3, [2.0 ** 1023] * 2, math.inf),  # every entry finite, the norm not
+], ids=["1e200", "1e-200", "2**1000", "2**-1000", "subnormal", "beyond-the-float-range"])
 def test_band_norm_at_extreme_scales(d, e, norm):
+    # An infinite or NaN entry never reaches the norm: the band rejects it
+    # (test_band_rejects_non_finite_entries).
     got = BidiagonalBand(d, e).frobenius_norm()
     assert got == pytest.approx(norm, rel=4 * np.finfo(float).eps, abs=0.0)
