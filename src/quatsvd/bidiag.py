@@ -1,8 +1,9 @@
 """Reduction of a quaternion matrix to a real bidiagonal matrix.
 
-``bidiagonalize`` alternates left and right Householder reflectors: the
-left one sends the trailing part of column k to a multiple of e1, the
-right one does the same to the trailing part of row k.  Every entry the
+``bidiagonalize`` alternates left and right Householder reflectors,
+built onto the builders' default target: the left one sends the trailing
+part of column k to a multiple of e1, the right one does the same to the
+trailing part of row k.  Every entry the
 construction guarantees to vanish, below or right of the band, is
 written as exact zero, with the largest discarded norm reported as
 ``snap_residue``, so the returned B is banded by construction rather
@@ -147,8 +148,6 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
     scale = math.frexp(top)[1]
     if scale:
         np.ldexp(work, -scale, out=work)
-    e1 = np.zeros(rows)
-    e1[0] = 1.0
     # (offset, u, s) of every non-identity reflector, in order, for the
     # factors: L* and R are both products of (I - u u*) S, where S
     # left-multiplies the row at `offset` by s, a unit quaternion.
@@ -162,7 +161,7 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
         sub = np.ascontiguousarray(work[k0:, :, k0:])
         for k in range(k0, min(k0 + _NB, cols)):
             i = k - k0
-            h = left_householder(QVector._wrap(sub[i:, :, i].copy()), e1[:rows - k])
+            h = left_householder(QVector._wrap(sub[i:, :, i].copy()))
             s = _ONE  # conj(z), the scalar of row k in L*
             if not h.is_identity:
                 _reflect_left(h.u.data, sub[i:], i)
@@ -170,8 +169,7 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
                     s = hamilton(h.zeta4.tolist(), sigma)
                     lrefl.append((k, h.u.data, s))
             if k <= cols - 2:
-                g = right_householder(QVector._wrap(sub[i, :, i + 1:].T.copy()),
-                                     e1[:cols - 1 - k])
+                g = right_householder(QVector._wrap(sub[i, :, i + 1:].T.copy()))
                 sigma = _ONE
                 if not g.is_identity:
                     _reflect_right(g.u.data, sub[i:], i + 1)

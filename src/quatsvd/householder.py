@@ -9,6 +9,12 @@ A reflector is the pair ``(u, zeta)`` with ``|zeta| = 1`` and either
 from the right.  The two cases genuinely differ because quaternion
 multiplication does not commute; the right reflector is obtained from a
 left reflector of the conjugated vector.
+
+The target defaults to e1, the only one the reduction to bidiagonal form
+uses (and the only one LAPACK's xLARFG supports).  A build onto e1 skips
+the target's checks, its projection is the vector's first entry and u
+differs from the vector in its first entry only; it gives the same u and
+zeta as the build onto an explicit e1, up to the sign of a zero.
 """
 
 from __future__ import annotations
@@ -66,46 +72,49 @@ class HouseholderReflector:
 
 
 def _check_target(n: int, v) -> np.ndarray:
-    """`v` as a float64 array, checked to be a real vector of length n; its
-    unit norm is checked by _scaled_norm."""
+    """`v` as a float64 array, checked to be a real unit vector of length n."""
     if isinstance(v, QVector):
         if np.any(v.data[:, 1:]):
             raise BadTarget("target vector must have exactly real entries")
         v = v.data[:, 0]
-    v = np.asarray(v, dtype=np.float64)
+    v = np.asarray(v)
+    if v.dtype.kind == "c":
+        raise BadTarget(f"target vector must be real, got dtype {v.dtype}")
+    v = v.astype(np.float64, copy=False)
     if v.ndim != 1:
         raise BadTarget(f"target vector must be one-dimensional, got shape {v.shape}")
     if len(v) != n:
         raise ShapeMismatch(f"vector length {n} does not match target length {len(v)}")
+    norm = math.sqrt(np.vdot(v, v))
+    if not abs(norm - 1.0) <= 1e-12:  # rejects a NaN norm too
+        raise BadTarget(f"target vector must have unit norm, got {norm!r}")
     return v
 
 
-def _scaled_norm(a: QVector, v: np.ndarray) -> tuple[np.ndarray, float]:
+def _scaled_norm(a: QVector) -> tuple[np.ndarray, float]:
     """``(data, alpha)``: the components of `a` and their norm by qmat's
     norm rule, its range test inline so that a build pays no extra call.
-    Raises BadTarget unless the target `v` has unit norm, and outside the
-    range NonFiniteInput for a NaN or infinite entry; a rescaled `a` comes
+    Raises NonFiniteInput for a NaN or infinite entry; a rescaled `a` comes
     back times a power of two for which every later step of a build is
     exact, so u and zeta come out as from `a`."""
     data = a.data
     flat = data.ravel()
     sq = np.vdot(flat, flat)
-    v_sq = np.vdot(v, v)
-    if not abs(math.sqrt(v_sq) - 1.0) <= 1e-12:  # rejects a NaN norm too
-        raise BadTarget(f"target vector must have unit norm, got {math.sqrt(v_sq)!r}")
     if not _SQ_MIN <= sq <= _SQ_MAX:
         _check_finite(a)
         _, data, sq = _rescaled_squares(data)
     return data, math.sqrt(sq)
 
 
-def _reflector(a_data: np.ndarray, v: np.ndarray, alpha: float):
+def _reflector(a_data: np.ndarray, v: np.ndarray | None, alpha: float):
     """``(u, zeta)`` as arrays for the left reflector of the (n, 4) components
-    `a_data` of norm `alpha` onto a checked target `v` (see left_householder)."""
+    `a_data` of norm `alpha` onto a checked target `v`, or e1 for None (see
+    left_householder)."""
     if alpha == 0.0:
         return np.zeros_like(a_data), np.array([1.0, 0.0, 0.0, 0.0])
 
-    t = v.dot(a_data)  # sum_i a_i v_i for real v_i, no conjugation
+    # sum_i a_i v_i for real v_i, no conjugation: a_1 for e1.
+    t = a_data[0] if v is None else v.dot(a_data)
     r = math.hypot(*t.tolist())
     # Treat a denormal projection as zero so we never divide by it.
     if r <= len(a_data) * EPS * alpha:
@@ -114,39 +123,44 @@ def _reflector(a_data: np.ndarray, v: np.ndarray, alpha: float):
     else:
         zeta4 = t / -r
     mu = math.sqrt(alpha) * math.sqrt(alpha + r)  # no overflow of alpha**2
-    u = np.multiply.outer(v * alpha, zeta4)
-    np.subtract(a_data, u, out=u)
+    if v is None:
+        u = a_data.copy()
+        u[0] -= alpha * zeta4
+    else:
+        u = np.multiply.outer(v * alpha, zeta4)
+        np.subtract(a_data, u, out=u)
     u /= mu
     return u, zeta4
 
 
-def left_householder(a: QVector, v) -> HouseholderReflector:
+def left_householder(a: QVector, v=None) -> HouseholderReflector:
     """Reflector mapping the column vector `a` onto ``norm(a) * v``.
 
-    `v` must be a real unit vector of the same length.  Construction:
+    `v` must be a real unit vector of the same length; None, the default,
+    means e1, the target of every reflector in the reduction.  Construction:
     with ``alpha = norm(a)`` and ``r = |sum_i a_i v_i|``, take ``zeta = 1``
     when r vanishes and ``-(sum_i a_i v_i)/r`` otherwise, then
     ``u = (a - zeta*v*alpha) / (sqrt(alpha) * sqrt(alpha + r))``.  A zero `a`
     yields the identity reflector (zero u, zeta = 1), and a NaN or infinite
     entry raises NonFiniteInput.
     """
-    v = _check_target(len(a), v)
-    data, alpha = _scaled_norm(a, v)
+    v = None if v is None else _check_target(len(a), v)
+    data, alpha = _scaled_norm(a)
     u, zeta4 = _reflector(data, v, alpha)
     return HouseholderReflector(QVector._wrap(u), zeta4, Side.LEFT)
 
 
-def right_householder(a_row: QVector, v) -> HouseholderReflector:
+def right_householder(a_row: QVector, v=None) -> HouseholderReflector:
     """Reflector mapping the row vector `a_row` onto ``norm(a) * v.T`` from
-    the right.
+    the right; `v` is as for left_householder, e1 by default.
 
     Built by reduction to the left case: a left reflector of the
     entrywise-conjugated vector gives ``H``, and the right transformation
     is its conjugate transpose, which shares the same ``u`` and carries
     the conjugated scalar.
     """
-    v = _check_target(len(a_row), v)
-    data, alpha = _scaled_norm(a_row, v)
+    v = None if v is None else _check_target(len(a_row), v)
+    data, alpha = _scaled_norm(a_row)
     u, zeta4 = _reflector(data * _CONJ, v, alpha)
     return HouseholderReflector(QVector._wrap(u), zeta4 * _CONJ, Side.RIGHT)
 

@@ -86,7 +86,7 @@ def _check_range(what: str, top: float, exponent: int) -> None:
 
 # The norm rule.  A sum of squares is one np.vdot: on float64 it calls the
 # same BLAS dot as ndarray.dot, bit for bit, but sets no floating-point
-# warning, so needs no np.errstate (the tests' RuntimeWarning filter fails
+# warning, so needs no np.errstate (the tests' warning filter fails
 # the overflow tests should a numpy release make it warn).  A sum inside
 # [_SQ_MIN, _SQ_MAX] is taken as it comes: no step of a reflector build
 # overflows, and a square that underflows is below 2**-54 of the sum, so
@@ -114,6 +114,16 @@ def _safe_norm(data: np.ndarray) -> float:
     return math.ldexp(root, e) if math.frexp(root)[1] + e <= 1024 else math.inf
 
 
+def _as_float64(data) -> np.ndarray:
+    """`data` as a C-contiguous float64 array of at least one axis; complex
+    data raises TypeError rather than losing its imaginary part to numpy's
+    cast."""
+    arr = np.asarray(data)
+    if arr.dtype.kind == "c":
+        raise TypeError(f"expected real data, got dtype {arr.dtype}")
+    return np.ascontiguousarray(arr, dtype=np.float64)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -128,7 +138,7 @@ class _Array:
     __array_ufunc__ = None
 
     def __init__(self, data):
-        arr = np.ascontiguousarray(data, dtype=np.float64)
+        arr = _as_float64(data)
         shape = arr.shape
         if len(shape) != self._ndim or 0 in shape or (self._quaternion and shape[-1] != 4):
             raise ShapeMismatch(
@@ -322,7 +332,7 @@ def _entry_components(value):
         return (value.w, value.x, value.y, value.z)
     if isinstance(value, (int, float)):
         return (float(value), 0.0, 0.0, 0.0)
-    arr = np.asarray(value, dtype=np.float64)
+    arr = _as_float64(value)
     if arr.shape != (4,):
         raise ShapeMismatch("matrix entry must be a Quaternion, a real number, "
                             "or a length-4 component sequence")

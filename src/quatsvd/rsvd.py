@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, NonFiniteInput
-from .qmat import RMatrix, _safe_norm
+from .qmat import RMatrix, _as_float64, _safe_norm
 
 __all__ = ["BidiagonalBand", "RealSvdResult", "bidiag_svd"]
 
@@ -29,9 +29,8 @@ class BidiagonalBand:
     e: np.ndarray
 
     def __post_init__(self):
-        d = np.atleast_1d(np.asarray(self.d, dtype=np.float64))
-        e = np.atleast_1d(np.asarray(self.e, dtype=np.float64)) if np.size(self.e) \
-            else np.zeros(0)
+        d = _as_float64(self.d)
+        e = _as_float64(self.e) if np.size(self.e) else np.zeros(0)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "e", e)
         if len(d) < 1:

@@ -87,7 +87,7 @@ def right_householder_direct(a_row: QVector, v) -> HouseholderReflector:
     ``u @ conj(u).T`` (and hence the transformation) coincides.
     """
     v = _check_target(len(a_row), v)
-    data, alpha = _scaled_norm(a_row, v)
+    data, alpha = _scaled_norm(a_row)
     if alpha == 0.0:
         return HouseholderReflector(QVector.zeros(len(a_row)), Quaternion(1.0), Side.RIGHT)
 

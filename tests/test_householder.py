@@ -98,6 +98,9 @@ def test_bad_targets_rejected():
     for build in BUILDERS:
         with pytest.raises(BadTarget):
             build(a, np.array([np.nan, 0.0, 0.0]))  # a NaN norm
+        # numpy's cast to float64 would drop the imaginary part silently
+        with pytest.raises(BadTarget, match="complex128"):
+            build(a, np.array([0.6 + 0.5j, 0.8, 0.0]))
 
 
 @pytest.mark.parametrize("build", BUILDERS)
@@ -310,3 +313,44 @@ def test_real_example_involution():
     h = left_householder(a, e1(3))
     mat = form_matrix(h)
     assert ((mat @ mat) - QMatrix.identity(3)).frobenius_norm() <= 1e-12
+
+
+def _default_target_inputs():
+    """Component arrays for the default target: random of several lengths,
+    zero (identity), a zero first entry (zeta = 1), and the rescaled norms."""
+    rng = np.random.default_rng(19)
+    cases = {f"random{n}": rng.uniform(-1, 1, (n, 4)) for n in (1, 2, 7, 48)}
+    cases["zero"] = np.zeros((4, 4))
+    cases["first_entry_zero"] = rng.uniform(-1, 1, (6, 4))
+    cases["first_entry_zero"][0] = 0.0
+    for k in (500, -500):
+        cases[f"scaled_2^{k}"] = np.ldexp(rng.uniform(-1, 1, (5, 4)), k)
+    cases["subnormal"] = np.ldexp(rng.uniform(-1, 1, (5, 4)), -1040)
+    return cases
+
+
+DEFAULT_TARGET_INPUTS = _default_target_inputs()
+
+
+@pytest.mark.parametrize("build", [left_householder, right_householder])
+@pytest.mark.parametrize("name", DEFAULT_TARGET_INPUTS)
+def test_default_target_is_e1(build, name):
+    """Without a target, or with None, a build is the build onto e1, bit for bit."""
+    a = QVector(DEFAULT_TARGET_INPUTS[name])
+    want = build(a, e1(len(a)))
+    for got in (build(a), build(a, v=None)):
+        assert np.array_equal(got.u.data, want.u.data)
+        assert np.array_equal(got.zeta4, want.zeta4)
+        assert got.side is want.side
+    if name == "first_entry_zero":
+        assert np.array_equal(want.zeta4, [1.0, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("build", [left_householder, right_householder])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_default_target_rejects_non_finite_entry(build, bad):
+    data = np.random.default_rng(9).uniform(-1, 1, (5, 4))
+    data[1, 3] = bad
+    for target in ((), (None,), (e1(5),)):
+        with pytest.raises(NonFiniteInput, match=r"entry 1 is not finite"):
+            build(QVector(data), *target)

@@ -267,6 +267,20 @@ def test_random_qmatrix_range_and_determinism():
     assert a.shape == (5, 4)
 
 
+def test_complex_data_rejected():
+    """numpy's cast to float64 keeps only the real part, with a warning at
+    most; every array entry point refuses complex data instead."""
+    for cls, shape in ((QVector, (3, 4)), (QMatrix, (2, 3, 4)), (RMatrix, (2, 3))):
+        with pytest.raises(TypeError, match="complex128"):
+            cls(np.ones(shape) * 1j)
+        with pytest.raises(TypeError, match="complex64"):
+            cls(np.ones(shape, dtype=np.complex64))
+    m = QMatrix.zeros(2, 2)
+    with pytest.raises(TypeError, match="complex128"):
+        m[0, 1] = np.array([1.0, 1j, 0.0, 0.0])
+    assert not m.data.any()
+
+
 def test_degenerate_shapes_rejected():
     with pytest.raises(ShapeMismatch):
         QMatrix.zeros(0, 2)

@@ -179,6 +179,13 @@ def test_band_rejects_mismatched_superdiagonal():
         BidiagonalBand([], [])
 
 
+def test_band_rejects_complex_entries():
+    with pytest.raises(TypeError, match="complex128"):
+        BidiagonalBand(np.array([1.0 + 1j, 2.0]), [1.0])
+    with pytest.raises(TypeError, match="complex128"):
+        BidiagonalBand([1.0, 2.0], np.array([1j]))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_band_rejects_non_finite_entries(bad):
     for d, e, where in [([bad, 1.0], [1.0], "d[0]"), ([1.0, 2.0, bad], [1.0, bad], "d[2]"),
