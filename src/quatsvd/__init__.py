@@ -8,8 +8,8 @@ independent singular values, with a stated error bound, for validation.
 """
 
 from .bidiag import BidiagResult, bidiagonalize, check_bidiagonal, extract_band
-from .errors import (BadTarget, FormatError, GroupingFailure, NoConvergence,
-                     NonFiniteInput, NotBidiagonal, ShapeMismatch)
+from .errors import (FormatError, GroupingFailure, NoConvergence, NonFiniteInput,
+                     NotBidiagonal, ShapeMismatch)
 from .formats import (matrix_file_kind, read_qmatrix, read_rmatrix,
                       write_qmatrix, write_rmatrix)
 from .householder import (HouseholderReflector, Side, form_matrix, left_householder,
@@ -30,7 +30,7 @@ __all__ = [
     "QsvdResult", "VerifyReport", "qsvd", "reconstruct", "verify",
     "read_qmatrix", "read_rmatrix", "write_qmatrix", "write_rmatrix",
     "matrix_file_kind",
-    "ShapeMismatch", "BadTarget", "NotBidiagonal",
+    "ShapeMismatch", "NotBidiagonal",
     "NoConvergence", "GroupingFailure", "FormatError", "NonFiniteInput",
 ]
 

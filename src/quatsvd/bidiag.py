@@ -1,7 +1,7 @@
 """Reduction of a quaternion matrix to a real bidiagonal matrix.
 
 ``bidiagonalize`` alternates left and right Householder reflectors,
-built onto the builders' default target: the left one sends the trailing
+built onto e1, the builders' only target: the left one sends the trailing
 part of column k to a multiple of e1, the right one does the same to the
 trailing part of row k.  Every entry the
 construction guarantees to vanish, below or right of the band, is

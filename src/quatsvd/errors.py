@@ -5,10 +5,6 @@ class ShapeMismatch(ValueError):
     """Operand dimensions are incompatible."""
 
 
-class BadTarget(ValueError):
-    """Target vector for a reflector is not a real unit vector."""
-
-
 class NotBidiagonal(ValueError):
     """Matrix has nonzero entries outside the bidiagonal band."""
 

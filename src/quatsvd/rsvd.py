@@ -23,8 +23,8 @@ __all__ = ["BidiagonalBand", "RealSvdResult", "bidiag_svd"]
 
 @dataclass(frozen=True)
 class BidiagonalBand:
-    """Diagonal `d` (length n) and superdiagonal `e` (length n-1), all
-    finite: a NaN or infinite entry raises NonFiniteInput."""
+    """One-axis diagonal `d` (length n) and superdiagonal `e` (length
+    n-1), all finite: a NaN or infinite entry raises NonFiniteInput."""
     d: np.ndarray
     e: np.ndarray
 
@@ -33,6 +33,9 @@ class BidiagonalBand:
         e = _as_float64(self.e) if np.size(self.e) else np.zeros(0)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "e", e)
+        if d.ndim != 1 or e.ndim != 1:
+            name, arr = ("d", d) if d.ndim != 1 else ("e", e)
+            raise ValueError(f"band {name} must be one-dimensional, got shape {arr.shape}")
         if len(d) < 1:
             raise ValueError("band needs at least one diagonal entry")
         if len(e) != len(d) - 1:

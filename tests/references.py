@@ -3,13 +3,14 @@ independent checks of what it does run.
 
 ``jacobi_eigen`` is a cyclic two-sided Jacobi eigensolver for the
 eigenvalues of B^T B and of the real adjoint's Gram.
-``right_householder_direct`` builds the right reflector from its closed
-form, a cross-check of ``right_householder``.  ``apply_left`` and
-``apply_right`` apply a reflector on the interleaved (r, c, 4) layout
-through the Hamilton product of component arrays, a second path beside
-``bidiagonalize``'s planar kernels.  ``known_sigma_matrix`` forms a
-matrix with prescribed singular values from random unitary factors
-built here, with no code from ``householder.py``.
+``right_householder_direct`` builds the right reflector onto e1 from its
+closed form, with its own norm, a cross-check of ``right_householder``.
+``apply_left`` and ``apply_right`` apply a reflector on the interleaved
+(r, c, 4) layout through the Hamilton product of component arrays, a
+second path beside ``bidiagonalize``'s planar kernels.
+``known_sigma_matrix`` forms a matrix with prescribed singular values
+from random unitary factors built here, with no code from
+``householder.py``.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ import math
 
 import numpy as np
 
-from quatsvd.errors import NoConvergence, ShapeMismatch
-from quatsvd.householder import (EPS, HouseholderReflector, Side, _check_target,
-                                 _scaled_norm)
+from quatsvd.errors import NoConvergence, NonFiniteInput, ShapeMismatch
+from quatsvd.householder import EPS, HouseholderReflector, Side
 from quatsvd.oracle import MAX_SWEEPS
 from quatsvd.qmat import QMatrix, QVector, RMatrix, _CONJ, _hmatmul, _hscale
 from quatsvd.quat import Quaternion
@@ -77,21 +77,39 @@ def jacobi_eigen(s: RMatrix) -> np.ndarray:
     raise NoConvergence(f"Jacobi sweep limit ({MAX_SWEEPS}) reached, off-diagonal {off:.3e}")
 
 
-def right_householder_direct(a_row: QVector, v) -> HouseholderReflector:
-    """Right reflector from the closed-form construction, used as a
-    cross-check against :func:`right_householder`.
+def _norm_by_rule(data: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(data * 2**-e, alpha)`` by the documented norm rule: one dot product
+    and square root when the sum of squares lies in [2**-968, 2**968],
+    otherwise the same after scaling by the even power of two that brings
+    the largest entry into [1/2, 2), exactly.  e is 0 in range, and alpha
+    is the norm of the returned data.  A NaN or infinite entry raises
+    NonFiniteInput naming the first such entry."""
+    bad = ~np.isfinite(data).all(axis=1)
+    if bad.any():
+        at = int(np.argmax(bad))
+        raise NonFiniteInput(f"entry {at} is not finite: {data[at].tolist()}")
+    sq = np.vdot(data, data)
+    if not 2.0 ** -968 <= sq <= 2.0 ** 968:
+        e = 2 * (int(np.frexp(np.abs(data).max())[1]) // 2)
+        data = np.ldexp(data, -e)
+        sq = np.vdot(data, data)
+    return data, math.sqrt(sq)
 
-    The projection uses ``r = |sum_i v_i a_i|`` and
-    ``u_i = (alpha * conj(zeta) * v_i - conj(a_i)) / mu``.  The resulting
-    ``u`` differs from the reduction path by a sign, so only the projector
-    ``u @ conj(u).T`` (and hence the transformation) coincides.
+
+def right_householder_direct(a_row: QVector) -> HouseholderReflector:
+    """Right reflector onto e1 from the closed-form construction, used as
+    a cross-check against :func:`right_householder`.
+
+    The projection uses ``r = |a_1|`` and
+    ``u_i = (alpha * conj(zeta) * delta_i1 - conj(a_i)) / mu``.  The
+    resulting ``u`` differs from the reduction path by a sign, so only the
+    projector ``u @ conj(u).T`` (and hence the transformation) coincides.
     """
-    v = _check_target(len(a_row), v)
-    data, alpha = _scaled_norm(a_row)
+    data, alpha = _norm_by_rule(a_row.data)
     if alpha == 0.0:
         return HouseholderReflector(QVector.zeros(len(a_row)), Quaternion(1.0), Side.RIGHT)
 
-    t = v.dot(data)
+    t = data[0]
     r = math.hypot(*t)
     if r <= len(a_row) * EPS * alpha:
         zeta4 = np.array([1.0, 0.0, 0.0, 0.0])
@@ -99,8 +117,9 @@ def right_householder_direct(a_row: QVector, v) -> HouseholderReflector:
     else:
         zeta4 = -t / r
     mu = math.sqrt(alpha) * math.sqrt(alpha + r)  # no overflow of alpha**2
-    u = (np.outer(v * alpha, zeta4 * _CONJ) - data * _CONJ) / mu
-    return HouseholderReflector(QVector(u), zeta4, Side.RIGHT)
+    u = -data * _CONJ
+    u[0] += alpha * zeta4 * _CONJ
+    return HouseholderReflector(QVector(u / mu), zeta4, Side.RIGHT)
 
 
 def _apply_left_block(u_data, z4, block):

@@ -1,6 +1,9 @@
 """The public surface: what the package exports, and what it no longer does."""
 
+import ast
 import importlib
+import inspect
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,8 @@ import quatsvd
 # Test-only references, kept in tests/references.py.
 MOVED = ["apply_left", "apply_right", "right_householder_direct", "jacobi_eigen",
          "NotSymmetric"]
+# Public names that no longer exist: the builders map onto e1 only.
+REMOVED = ["BadTarget"]
 
 
 def test_every_exported_name_resolves():
@@ -24,3 +29,34 @@ def test_test_only_references_are_not_in_the_package(module):
     for name in MOVED:
         assert not hasattr(mod, name), (module, name)
         assert name not in getattr(mod, "__all__", ())
+
+
+@pytest.mark.parametrize("module", ["quatsvd", "quatsvd.errors"])
+def test_removed_names_are_gone(module):
+    mod = importlib.import_module(module)
+    for name in REMOVED:
+        assert not hasattr(mod, name), (module, name)
+        assert name not in getattr(mod, "__all__", ())
+
+
+@pytest.mark.parametrize("build", [quatsvd.left_householder, quatsvd.right_householder])
+def test_builders_take_only_the_vector(build):
+    assert len(inspect.signature(build).parameters) == 1
+
+
+SOURCES = sorted(p for p in Path(quatsvd.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    """A name imported into a module is read somewhere in it; __init__.py,
+    whose imports are its re-exports, is left out."""
+    tree = ast.parse(path.read_text())
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not imported - used, sorted(imported - used)

@@ -34,12 +34,6 @@ dims = st.integers(min_value=1, max_value=7)
 EPS = 2.0 ** -52
 
 
-def e1(n):
-    v = np.zeros(n)
-    v[0] = 1.0
-    return v
-
-
 def recon_error(a: QMatrix, res) -> float:
     lhs = res.left @ a @ res.right
     return (lhs - res.bidiagonal.promote()).frobenius_norm()
@@ -119,12 +113,12 @@ def explicit_bidiagonalize(a: QMatrix):
     right = QMatrix.identity(c)
     work = a.copy()
     for k in range(c):
-        h = left_householder(QVector(work.data[k:, k, :].copy()), e1(r - k))
+        h = left_householder(QVector(work.data[k:, k, :].copy()))
         hm = _pivot(r, k, h.z) @ _embed(form_matrix(_bare(h)), r, k)
         work = hm @ work
         left = hm @ left
         if k <= c - 2:
-            g = right_householder(QVector(work.data[k, k + 1 :, :].copy()), e1(c - 1 - k))
+            g = right_householder(QVector(work.data[k, k + 1 :, :].copy()))
             gm = _embed(form_matrix(_bare(g)), c, k + 1) @ _pivot(c, k + 1, g.z)
             work = work @ gm
             right = right @ gm
@@ -154,12 +148,12 @@ def reflector_bidiagonalize(a: QMatrix):
         return right.conj_transpose(), band.T, left.conj_transpose()
     work, left, right = a.copy(), QMatrix.identity(r), QMatrix.identity(c)
     for k in range(c):
-        h = left_householder(QVector(work.data[k:, k, :].copy()), e1(r - k))
+        h = left_householder(QVector(work.data[k:, k, :].copy()))
         for m in (work, left):
             m.data[k:] = apply_left(_bare(h), QMatrix(m.data[k:])).data
             m.data[k:k + 1] = QMatrix(m.data[k:k + 1]).scale_left(h.z).data
         if k <= c - 2:
-            g = right_householder(QVector(work.data[k, k + 1:, :].copy()), e1(c - 1 - k))
+            g = right_householder(QVector(work.data[k, k + 1:, :].copy()))
             for m in (work, right):
                 m.data[:, k + 1:] = apply_right(_bare(g), QMatrix(m.data[:, k + 1:])).data
                 m.data[:, k + 1:k + 2] = QMatrix(m.data[:, k + 1:k + 2]).scale_right(g.z).data

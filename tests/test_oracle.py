@@ -272,16 +272,11 @@ def test_grouping_failure_on_lost_conditioning():
     # kappa ~ 1e9: an oracle that squares the adjoint leaves ~1e-8 of noise on
     # the four copies of 1e-9.  It must then refuse with GroupingFailure; an
     # oracle that keeps the digits must return every value within its bound.
-    def e1(n):
-        v = np.zeros(n)
-        v[0] = 1.0
-        return v
-
     rng = np.random.default_rng(1)
 
     def rand_unitary(n):
-        h1 = form_matrix(left_householder(QVector(rng.uniform(-1, 1, (n, 4))), e1(n)))
-        h2 = form_matrix(left_householder(QVector(rng.uniform(-1, 1, (n, 4))), e1(n)))
+        h1 = form_matrix(left_householder(QVector(rng.uniform(-1, 1, (n, 4)))))
+        h2 = form_matrix(left_householder(QVector(rng.uniform(-1, 1, (n, 4)))))
         return h1 @ h2
 
     core = diag_qmatrix([Quaternion(1), Quaternion(1), Quaternion(1e-9)])

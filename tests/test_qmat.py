@@ -18,12 +18,6 @@ seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 EPS = 2.0 ** -52
 
 
-def e1(n):
-    v = np.zeros(n)
-    v[0] = 1.0
-    return v
-
-
 def unitary_error(q: QMatrix) -> float:
     ident = QMatrix.identity(q.rows)
     return max(((q @ q.conj_transpose()) - ident).frobenius_norm(),
@@ -32,9 +26,9 @@ def unitary_error(q: QMatrix) -> float:
 
 def random_unitary(n, rng):
     # product of two Householder transformations: unitary by construction
-    u = form_matrix(left_householder(QVector(rng.uniform(-1, 1, (n, 4))), e1(n)))
+    u = form_matrix(left_householder(QVector(rng.uniform(-1, 1, (n, 4)))))
     if n > 1:
-        u = u @ form_matrix(left_householder(QVector(rng.uniform(-1, 1, (n, 4))), e1(n)))
+        u = u @ form_matrix(left_householder(QVector(rng.uniform(-1, 1, (n, 4)))))
     return u
 
 

@@ -30,15 +30,9 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=1, max_value=7)
 
 
-def e1(n):
-    v = np.zeros(n)
-    v[0] = 1.0
-    return v
-
-
 def rand_unitary(n, rng):
-    h1 = form_matrix(left_householder(QVector(rng.uniform(-1, 1, (n, 4))), e1(n)))
-    h2 = form_matrix(left_householder(QVector(rng.uniform(-1, 1, (n, 4))), e1(n)))
+    h1 = form_matrix(left_householder(QVector(rng.uniform(-1, 1, (n, 4)))))
+    h2 = form_matrix(left_householder(QVector(rng.uniform(-1, 1, (n, 4)))))
     return h1 @ h2
 
 

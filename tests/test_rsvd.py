@@ -179,6 +179,15 @@ def test_band_rejects_mismatched_superdiagonal():
         BidiagonalBand([], [])
 
 
+def test_band_rejects_more_than_one_axis():
+    with pytest.raises(ValueError, match=r"band d .* shape \(2, 2\)"):
+        BidiagonalBand(np.array([[3.0, 0.0], [0.0, 2.0]]), np.array([[1.0, 0.0]]))
+    with pytest.raises(ValueError, match=r"band d .* shape \(2, 2\)"):
+        BidiagonalBand(np.array([[3.0, 1.0], [2.0, 5.0]]), [1.0])
+    with pytest.raises(ValueError, match=r"band e .* shape \(1, 1\)"):
+        BidiagonalBand([3.0, 2.0], np.array([[1.0]]))
+
+
 def test_band_rejects_complex_entries():
     with pytest.raises(TypeError, match="complex128"):
         BidiagonalBand(np.array([1.0 + 1j, 2.0]), [1.0])
