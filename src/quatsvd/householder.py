@@ -19,52 +19,30 @@ and the only one LAPACK's xLARFG supports.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import (QMatrix, QVector, _CONJ, _SQ_MAX, _SQ_MIN, _check_finite, _q4,
-                   _rescaled_squares)
-from .quat import Quaternion
+from .qmat import QVector, _CONJ, _SQ_MAX, _SQ_MIN, _check_finite, _rescaled_squares
 
 EPS = 2.0 ** -52
 
-__all__ = ["Side", "HouseholderReflector", "left_householder", "right_householder",
-           "form_matrix"]
-
-
-class Side(enum.Enum):
-    LEFT = "left"
-    RIGHT = "right"
+__all__ = ["HouseholderReflector", "left_householder", "right_householder"]
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class HouseholderReflector:
-    """A built reflector: `u`, the unit scalar zeta as the (4,) component
-    array `zeta4`, and the side.  The scalar may be given as a Quaternion
-    too; `zeta` and `z` build Quaternions only when read."""
+    """A built reflector: `u` and the unit scalar zeta as its (4,) component
+    array `zeta4`.  That is all of H = z (I - u u*) from left_householder
+    and of G = (I - u u*) z from right_householder, with z = conj(zeta);
+    the reflector does not record which builder made it."""
     u: QVector
     zeta4: np.ndarray
-    side: Side
-
-    def __post_init__(self):
-        if isinstance(self.zeta4, Quaternion):
-            object.__setattr__(self, "zeta4", _q4(self.zeta4))
 
     @property
     def is_identity(self) -> bool:
         return not np.count_nonzero(self.u.data)
-
-    @property
-    def zeta(self) -> Quaternion:
-        return Quaternion(*self.zeta4.tolist())
-
-    @property
-    def z(self) -> Quaternion:
-        """The scalar that multiplies the projector: ``1/zeta == conj(zeta)``."""
-        return self.zeta.conjugate()
 
     def __len__(self) -> int:
         return len(self.u)
@@ -114,7 +92,7 @@ def left_householder(a: QVector) -> HouseholderReflector:
     zeta = 1), and a NaN or infinite entry raises NonFiniteInput."""
     data, alpha = _scaled_norm(a)
     u, zeta4 = _reflector(data, alpha)
-    return HouseholderReflector(QVector._wrap(u), zeta4, Side.LEFT)
+    return HouseholderReflector(QVector._wrap(u), zeta4)
 
 
 def right_householder(a_row: QVector) -> HouseholderReflector:
@@ -125,15 +103,4 @@ def right_householder(a_row: QVector) -> HouseholderReflector:
     and carries the conjugated scalar."""
     data, alpha = _scaled_norm(a_row)
     u, zeta4 = _reflector(data * _CONJ, alpha)
-    return HouseholderReflector(QVector._wrap(u), zeta4 * _CONJ, Side.RIGHT)
-
-
-def form_matrix(h: HouseholderReflector) -> QMatrix:
-    """Explicit transformation matrix; a reference for tests and small
-    problems.  The production route is bidiagonalize's planar kernels,
-    which apply each reflector without forming it."""
-    m = len(h)
-    projector = QMatrix.identity(m) - h.u.outer_hermitian()
-    if h.side is Side.LEFT:
-        return projector.scale_left(h.z)
-    return projector.scale_right(h.z)
+    return HouseholderReflector(QVector._wrap(u), zeta4 * _CONJ)

@@ -11,6 +11,7 @@ conjugation below the public API is derived from them.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -32,21 +33,12 @@ _UNITS = (ONE, I, J, K)
 # e_k e_p, so the 16 products x_k y_p of two component arrays contract to
 # the components of x * y.  Every entry is an exact 0 or +-1.
 _HAMILTON = np.array([_q4(e * f) for e in _UNITS for f in _UNITS])
-# Real 4x4 matrices of multiplication as (16, 4) maps from the components
-# of q, so that a real form is one matmul: component l of q * p is
-# sum_k _lmat(q)[l, k] p[k], and of p * q it is sum_k _rmat(q)[l, k] p[k].
+# The real 4x4 matrix of left multiplication by q as a (16, 4) map from the
+# components of q, so that a real form is one matmul: component l of q * p
+# is sum_k (q @ _LMAT_OF.T)[4 l + k] p[k].
 _LMAT_OF = _HAMILTON.reshape(4, 4, 4).transpose(2, 1, 0).reshape(16, 4)
-_RMAT_OF = _HAMILTON.reshape(4, 4, 4).transpose(2, 0, 1).reshape(16, 4)
 # Signs of conjugation: e_k e_k is real, +1 for the unit 1 and -1 for i, j, k.
 _CONJ = np.array([(e * e).w for e in _UNITS])
-
-
-def _lmat(q: np.ndarray) -> np.ndarray:
-    return (q @ _LMAT_OF.T).reshape(q.shape[:-1] + (4, 4))
-
-
-def _rmat(q: np.ndarray) -> np.ndarray:
-    return (q @ _RMAT_OF.T).reshape(q.shape[:-1] + (4, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -57,12 +49,6 @@ def _hmatmul(a, b):
     real matmuls of their components, contracted with _HAMILTON."""
     prods = np.matmul(a.transpose(2, 0, 1)[:, np.newaxis], b.transpose(2, 0, 1))
     return (prods.reshape(16, -1).T @ _HAMILTON).reshape(a.shape[0], b.shape[1], 4)
-
-
-def _hscale(q, a, side):
-    """Multiply every entry of `a` by the quaternion components `q`, a
-    (4,) array, on one side, through the real form of q."""
-    return a @ (_lmat(q) if side == "left" else _rmat(q)).T
 
 
 def _check_finite(a: _Array) -> None:
@@ -218,19 +204,6 @@ class QVector(_Array):
         """Euclidean norm, the square root of the summed squared moduli."""
         return _safe_norm(self.data)
 
-    def outer_hermitian(self) -> QMatrix:
-        """Rank-one Hermitian matrix with entries ``u_i * conj(u_j)``."""
-        u = self.data
-        out = _hmatmul(u[:, np.newaxis, :], (u * _CONJ)[np.newaxis, :, :])
-        # Mirror the strict triangle: (i,j) and (j,i) sum the same products in
-        # different orders, so symmetry would otherwise hold only to rounding.
-        i, j = np.triu_indices(len(u), 1)
-        out[j, i] = out[i, j] * _CONJ
-        # Diagonal entries are |u_i|^2: wipe the vector-part rounding residue.
-        k = np.arange(len(u))
-        out[k, k, 1:] = 0.0
-        return QMatrix(out)
-
     def __repr__(self) -> str:
         return f"QVector(len={len(self)})"
 
@@ -288,12 +261,6 @@ class QMatrix(_Matrix):
     def __sub__(self, other):
         return self._combine(other, np.subtract, "-")
 
-    def scale_left(self, q: Quaternion) -> QMatrix:
-        return QMatrix(_hscale(_q4(q), self.data, "left"))
-
-    def scale_right(self, q: Quaternion) -> QMatrix:
-        return QMatrix(_hscale(_q4(q), self.data, "right"))
-
 
 class RMatrix(_Matrix):
     """Dense real matrix.  A separate type so that realness is a guarantee,
@@ -330,7 +297,7 @@ class RMatrix(_Matrix):
 def _entry_components(value):
     if isinstance(value, Quaternion):
         return (value.w, value.x, value.y, value.z)
-    if isinstance(value, (int, float)):
+    if isinstance(value, numbers.Real):
         return (float(value), 0.0, 0.0, 0.0)
     arr = _as_float64(value)
     if arr.shape != (4,):

@@ -43,24 +43,6 @@ class Quaternion:
         # hypot scales internally, so no overflow for large components.
         return math.hypot(self.w, self.x, self.y, self.z)
 
-    def abs_squared(self) -> float:
-        return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
-
-    def inverse(self) -> Quaternion:
-        """Multiplicative inverse ``conjugate / |q|**2``, formed on q scaled by
-        2**-k (k the exponent of its largest component) so that |q|**2 cannot
-        overflow or underflow.  Raises ZeroDivisionError for the zero
-        quaternion, OverflowError for an inverse beyond the float range."""
-        if self.is_zero():
-            raise ZeroDivisionError("zero quaternion has no inverse")
-        k = math.frexp(max(abs(self.w), abs(self.x), abs(self.y), abs(self.z)))[1]
-        p = Quaternion(*(math.ldexp(v, -k) for v in (self.w, -self.x, -self.y, -self.z)))
-        n2 = p.abs_squared()
-        return Quaternion(*(math.ldexp(v / n2, -k) for v in (p.w, p.x, p.y, p.z)))
-
-    def is_zero(self) -> bool:
-        return self.w == 0.0 and self.x == 0.0 and self.y == 0.0 and self.z == 0.0
-
     def __add__(self, other: Quaternion) -> Quaternion:
         return Quaternion(self.w + other.w, self.x + other.x,
                           self.y + other.y, self.z + other.z)
@@ -83,14 +65,6 @@ class Quaternion:
 
     # Real scalars commute with quaternions, so x * q is q * x.
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            f = float(other)
-            return Quaternion(self.w / f, self.x / f, self.y / f, self.z / f)
-        if isinstance(other, Quaternion):
-            return self * other.inverse()
-        return NotImplemented
 
     def __str__(self) -> str:
         # Shortest round-trip formatting, four components separated by spaces.

@@ -8,6 +8,10 @@ closed form, with its own norm, a cross-check of ``right_householder``.
 ``apply_left`` and ``apply_right`` apply a reflector on the interleaved
 (r, c, 4) layout through the Hamilton product of component arrays, a
 second path beside ``bidiagonalize``'s planar kernels.
+``form_matrix`` forms a reflector's explicit matrix from the Hermitian
+outer product ``outer_hermitian`` and the unit-scalar side scaling
+``scale_left`` and ``scale_right``, which multiply through the real 4x4
+forms ``_lmat`` and ``_rmat``.
 ``known_sigma_matrix`` forms a matrix with prescribed singular values
 from random unitary factors built here, with no code from
 ``householder.py``.
@@ -20,10 +24,13 @@ import math
 import numpy as np
 
 from quatsvd.errors import NoConvergence, NonFiniteInput, ShapeMismatch
-from quatsvd.householder import EPS, HouseholderReflector, Side
-from quatsvd.oracle import MAX_SWEEPS
-from quatsvd.qmat import QMatrix, QVector, RMatrix, _CONJ, _hmatmul, _hscale
+from quatsvd.householder import EPS, HouseholderReflector
+from quatsvd.qmat import (QMatrix, QVector, RMatrix, _CONJ, _HAMILTON, _LMAT_OF, _hmatmul,
+                          _q4)
 from quatsvd.quat import Quaternion
+
+# The sweep cap of jacobi_eigen, its own rather than the oracle's.
+JACOBI_MAX_SWEEPS = 50
 
 
 class NotSymmetric(ValueError):
@@ -46,7 +53,7 @@ def jacobi_eigen(s: RMatrix) -> np.ndarray:
     if n == 1 or norm == 0.0:
         return np.sort(np.diag(a))
 
-    for _ in range(MAX_SWEEPS):
+    for _ in range(JACOBI_MAX_SWEEPS):
         off = float(np.linalg.norm(a - np.diag(np.diag(a))))
         if off <= 1e-14 * norm:
             return np.sort(np.diag(a))
@@ -74,7 +81,8 @@ def jacobi_eigen(s: RMatrix) -> np.ndarray:
     off = float(np.linalg.norm(a - np.diag(np.diag(a))))
     if off <= 1e-14 * norm:
         return np.sort(np.diag(a))
-    raise NoConvergence(f"Jacobi sweep limit ({MAX_SWEEPS}) reached, off-diagonal {off:.3e}")
+    raise NoConvergence(
+        f"Jacobi sweep limit ({JACOBI_MAX_SWEEPS}) reached, off-diagonal {off:.3e}")
 
 
 def _norm_by_rule(data: np.ndarray) -> tuple[np.ndarray, float]:
@@ -107,7 +115,7 @@ def right_householder_direct(a_row: QVector) -> HouseholderReflector:
     """
     data, alpha = _norm_by_rule(a_row.data)
     if alpha == 0.0:
-        return HouseholderReflector(QVector.zeros(len(a_row)), Quaternion(1.0), Side.RIGHT)
+        return HouseholderReflector(QVector.zeros(len(a_row)), np.array([1.0, 0.0, 0.0, 0.0]))
 
     t = data[0]
     r = math.hypot(*t)
@@ -119,7 +127,59 @@ def right_householder_direct(a_row: QVector) -> HouseholderReflector:
     mu = math.sqrt(alpha) * math.sqrt(alpha + r)  # no overflow of alpha**2
     u = -data * _CONJ
     u[0] += alpha * zeta4 * _CONJ
-    return HouseholderReflector(QVector(u / mu), zeta4, Side.RIGHT)
+    return HouseholderReflector(QVector(u / mu), zeta4)
+
+
+# --- explicit matrices: the Hermitian outer product and the side scaling
+
+# The real 4x4 matrix of right multiplication by q, beside qmat's _LMAT_OF
+# of left multiplication: component l of p * q is sum_k _rmat(q)[l, k] p[k].
+_RMAT_OF = _HAMILTON.reshape(4, 4, 4).transpose(2, 0, 1).reshape(16, 4)
+
+
+def _lmat(q: np.ndarray) -> np.ndarray:
+    return (q @ _LMAT_OF.T).reshape(q.shape[:-1] + (4, 4))
+
+
+def _rmat(q: np.ndarray) -> np.ndarray:
+    return (q @ _RMAT_OF.T).reshape(q.shape[:-1] + (4, 4))
+
+
+def _hscale(q, a, side):
+    """Multiply every entry of `a` by the quaternion components `q`, a
+    (4,) array, on one side, through the real form of q."""
+    return a @ (_lmat(q) if side == "left" else _rmat(q)).T
+
+
+def scale_left(m: QMatrix, q: Quaternion) -> QMatrix:
+    return QMatrix(_hscale(_q4(q), m.data, "left"))
+
+
+def scale_right(m: QMatrix, q: Quaternion) -> QMatrix:
+    return QMatrix(_hscale(_q4(q), m.data, "right"))
+
+
+def outer_hermitian(v: QVector) -> QMatrix:
+    """Rank-one Hermitian matrix with entries ``u_i * conj(u_j)``."""
+    u = v.data
+    out = _hmatmul(u[:, np.newaxis, :], (u * _CONJ)[np.newaxis, :, :])
+    # Mirror the strict triangle: (i,j) and (j,i) sum the same products in
+    # different orders, so symmetry would otherwise hold only to rounding.
+    i, j = np.triu_indices(len(u), 1)
+    out[j, i] = out[i, j] * _CONJ
+    # Diagonal entries are |u_i|^2: wipe the vector-part rounding residue.
+    k = np.arange(len(u))
+    out[k, k, 1:] = 0.0
+    return QMatrix(out)
+
+
+def form_matrix(h: HouseholderReflector, side: str) -> QMatrix:
+    """Explicit transformation matrix of a reflector from left_householder
+    (`side` "left"), ``z (I - u u*)``, or from right_householder ("right"),
+    ``(I - u u*) z``, with ``z = conj(zeta)``."""
+    m = len(h)
+    projector = QMatrix.identity(m) - outer_hermitian(h.u)
+    return QMatrix(_hscale(h.zeta4 * _CONJ, projector.data, side))
 
 
 def _apply_left_block(u_data, z4, block):
@@ -137,13 +197,12 @@ def _apply_right_block(u_data, z4, block):
 
 
 def apply_left(h: HouseholderReflector, target):
-    """Apply the reflector from the left without forming the matrix.
+    """Apply a reflector from left_householder, ``z (I - u u*)``, from the
+    left without forming the matrix.
 
     `target` may be a QMatrix (rows must match ``len(h)``) or a QVector,
     returned as the same type.  Cost is one pass over the entries.
     """
-    if h.side is not Side.LEFT:
-        raise ValueError("apply_left needs a left-side reflector")
     if isinstance(target, QVector):
         return QVector(apply_left(h, QMatrix(target.data[:, np.newaxis])).data[:, 0])
     if target.rows != len(h):
@@ -154,10 +213,9 @@ def apply_left(h: HouseholderReflector, target):
 
 
 def apply_right(h: HouseholderReflector, target):
-    """Apply the reflector from the right; `target` is a QMatrix whose
-    column count matches, or a QVector treated as a single row."""
-    if h.side is not Side.RIGHT:
-        raise ValueError("apply_right needs a right-side reflector")
+    """Apply a reflector from right_householder, ``(I - u u*) z``, from the
+    right; `target` is a QMatrix whose column count matches, or a QVector
+    treated as a single row."""
     if isinstance(target, QVector):
         return QVector(apply_right(h, QMatrix(target.data[np.newaxis])).data[0])
     if target.cols != len(h):

@@ -11,9 +11,17 @@ import quatsvd
 
 # Test-only references, kept in tests/references.py.
 MOVED = ["apply_left", "apply_right", "right_householder_direct", "jacobi_eigen",
-         "NotSymmetric"]
-# Public names that no longer exist: the builders map onto e1 only.
-REMOVED = ["BadTarget"]
+         "NotSymmetric", "form_matrix"]
+# Public names that no longer exist: the builders map onto e1 only, and a
+# reflector does not record its side.
+REMOVED = ["BadTarget", "Side"]
+# Attributes the pipeline never read, deleted or moved to tests/references.py.
+GONE_ATTRIBUTES = {
+    quatsvd.Quaternion: ["inverse", "__truediv__", "abs_squared", "is_zero"],
+    quatsvd.QMatrix: ["scale_left", "scale_right"],
+    quatsvd.QVector: ["outer_hermitian"],
+    quatsvd.HouseholderReflector: ["zeta", "z", "side"],
+}
 
 
 def test_every_exported_name_resolves():
@@ -31,12 +39,18 @@ def test_test_only_references_are_not_in_the_package(module):
         assert name not in getattr(mod, "__all__", ())
 
 
-@pytest.mark.parametrize("module", ["quatsvd", "quatsvd.errors"])
+@pytest.mark.parametrize("module", ["quatsvd", "quatsvd.householder", "quatsvd.errors"])
 def test_removed_names_are_gone(module):
     mod = importlib.import_module(module)
     for name in REMOVED:
         assert not hasattr(mod, name), (module, name)
         assert name not in getattr(mod, "__all__", ())
+
+
+@pytest.mark.parametrize("cls", GONE_ATTRIBUTES, ids=lambda cls: cls.__name__)
+def test_removed_attributes_are_gone(cls):
+    for name in GONE_ATTRIBUTES[cls]:
+        assert not hasattr(cls, name), (cls.__name__, name)
 
 
 @pytest.mark.parametrize("build", [quatsvd.left_householder, quatsvd.right_householder])
@@ -46,12 +60,14 @@ def test_builders_take_only_the_vector(build):
 
 SOURCES = sorted(p for p in Path(quatsvd.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+SOURCES.append(Path(__file__).with_name("references.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     """A name imported into a module is read somewhere in it; __init__.py,
-    whose imports are its re-exports, is left out."""
+    whose imports are its re-exports, is left out, and the tests'
+    references.py is checked too."""
     tree = ast.parse(path.read_text())
     imported = {(alias.asname or alias.name).split(".")[0]
                 for node in ast.walk(tree)

@@ -18,16 +18,14 @@ from quatsvd import (
     QVector,
     Quaternion,
     RMatrix,
-    Side,
     bidiagonalize,
     check_bidiagonal,
     extract_band,
-    form_matrix,
     left_householder,
     random_qmatrix,
     right_householder,
 )
-from references import apply_left, apply_right
+from references import apply_left, apply_right, form_matrix, scale_left, scale_right
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=1, max_value=7)
@@ -91,7 +89,12 @@ def _embed(m: QMatrix, size: int, offset: int) -> QMatrix:
 
 def _bare(h):
     """`h` without its unit scalar: the projector I - u u* alone."""
-    return HouseholderReflector(h.u, Quaternion(1), h.side)
+    return HouseholderReflector(h.u, np.array([1.0, 0.0, 0.0, 0.0]))
+
+
+def _z(h) -> Quaternion:
+    """The unit scalar of `h`'s transformation, conj(zeta)."""
+    return Quaternion(*h.zeta4).conjugate()
 
 
 def _pivot(size: int, offset: int, z: Quaternion) -> QMatrix:
@@ -114,12 +117,12 @@ def explicit_bidiagonalize(a: QMatrix):
     work = a.copy()
     for k in range(c):
         h = left_householder(QVector(work.data[k:, k, :].copy()))
-        hm = _pivot(r, k, h.z) @ _embed(form_matrix(_bare(h)), r, k)
+        hm = _pivot(r, k, _z(h)) @ _embed(form_matrix(_bare(h), "left"), r, k)
         work = hm @ work
         left = hm @ left
         if k <= c - 2:
             g = right_householder(QVector(work.data[k, k + 1 :, :].copy()))
-            gm = _embed(form_matrix(_bare(g)), c, k + 1) @ _pivot(c, k + 1, g.z)
+            gm = _embed(form_matrix(_bare(g), "right"), c, k + 1) @ _pivot(c, k + 1, _z(g))
             work = work @ gm
             right = right @ gm
     return left, RMatrix(work.data[..., 0].copy()), right
@@ -151,12 +154,12 @@ def reflector_bidiagonalize(a: QMatrix):
         h = left_householder(QVector(work.data[k:, k, :].copy()))
         for m in (work, left):
             m.data[k:] = apply_left(_bare(h), QMatrix(m.data[k:])).data
-            m.data[k:k + 1] = QMatrix(m.data[k:k + 1]).scale_left(h.z).data
+            m.data[k:k + 1] = scale_left(QMatrix(m.data[k:k + 1]), _z(h)).data
         if k <= c - 2:
             g = right_householder(QVector(work.data[k, k + 1:, :].copy()))
             for m in (work, right):
                 m.data[:, k + 1:] = apply_right(_bare(g), QMatrix(m.data[:, k + 1:])).data
-                m.data[:, k + 1:k + 2] = QMatrix(m.data[:, k + 1:k + 2]).scale_right(g.z).data
+                m.data[:, k + 1:k + 2] = scale_right(QMatrix(m.data[:, k + 1:k + 2]), _z(g)).data
     return left, work.data[..., 0], right
 
 
@@ -417,8 +420,7 @@ def test_kernels_apply_the_bare_reflector(side):
     for _ in range(10):
         u = rng.standard_normal((m, 4))
         u *= np.sqrt(2.0) / np.linalg.norm(u)
-        bare = HouseholderReflector(QVector(u), Quaternion(1),
-                                    Side.LEFT if side == "left" else Side.RIGHT)
+        bare = HouseholderReflector(QVector(u), np.array([1.0, 0.0, 0.0, 0.0]))
         out = block.copy()
         kernel(u, out)
         expect = apply(bare, QMatrix(block.transpose(0, 2, 1).copy())).data.transpose(0, 2, 1)

@@ -20,14 +20,13 @@ from quatsvd import (
     RMatrix,
     adjoint_error_bound,
     adjoint_singular_values,
-    form_matrix,
     left_householder,
     qsvd,
     random_qmatrix,
     real_adjoint,
     verify,
 )
-from references import NotSymmetric, jacobi_eigen
+from references import NotSymmetric, form_matrix, jacobi_eigen
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=1, max_value=5)
@@ -275,8 +274,8 @@ def test_grouping_failure_on_lost_conditioning():
     rng = np.random.default_rng(1)
 
     def rand_unitary(n):
-        h1 = form_matrix(left_householder(QVector(rng.uniform(-1, 1, (n, 4)))))
-        h2 = form_matrix(left_householder(QVector(rng.uniform(-1, 1, (n, 4)))))
+        h1 = form_matrix(left_householder(QVector(rng.uniform(-1, 1, (n, 4)))), "left")
+        h2 = form_matrix(left_householder(QVector(rng.uniform(-1, 1, (n, 4)))), "left")
         return h1 @ h2
 
     core = diag_qmatrix([Quaternion(1), Quaternion(1), Quaternion(1e-9)])

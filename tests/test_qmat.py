@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 import quatsvd.qmat as qmat
 from quatsvd.errors import ShapeMismatch
-from quatsvd.householder import form_matrix, left_householder
-from quatsvd.qmat import (QMatrix, QVector, RMatrix, _hmatmul, _hscale, _lmat, _q4, _rmat,
-                          random_qmatrix)
+from quatsvd.householder import left_householder
+from quatsvd.qmat import QMatrix, QVector, RMatrix, _hmatmul, _q4, random_qmatrix
 from quatsvd.quat import I, J, K, Quaternion
+from references import (_hscale, _lmat, _rmat, form_matrix, outer_hermitian, scale_left,
+                        scale_right)
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 EPS = 2.0 ** -52
@@ -26,9 +27,9 @@ def unitary_error(q: QMatrix) -> float:
 
 def random_unitary(n, rng):
     # product of two Householder transformations: unitary by construction
-    u = form_matrix(left_householder(QVector(rng.uniform(-1, 1, (n, 4)))))
+    u = form_matrix(left_householder(QVector(rng.uniform(-1, 1, (n, 4)))), "left")
     if n > 1:
-        u = u @ form_matrix(left_householder(QVector(rng.uniform(-1, 1, (n, 4)))))
+        u = u @ form_matrix(left_householder(QVector(rng.uniform(-1, 1, (n, 4)))), "left")
     return u
 
 
@@ -120,9 +121,9 @@ def test_frobenius_overflow_safe():
 
 
 def test_outer_hermitian_examples():
-    assert QVector.from_quaternions([Quaternion(1)]).outer_hermitian()[0, 0] == Quaternion(1)
-    assert QVector.from_quaternions([I]).outer_hermitian()[0, 0] == Quaternion(1)
-    m = QVector.from_quaternions([Quaternion(1), J]).outer_hermitian()
+    assert outer_hermitian(QVector.from_quaternions([Quaternion(1)]))[0, 0] == Quaternion(1)
+    assert outer_hermitian(QVector.from_quaternions([I]))[0, 0] == Quaternion(1)
+    m = outer_hermitian(QVector.from_quaternions([Quaternion(1), J]))
     assert m[0, 0] == Quaternion(1)
     assert m[0, 1] == -J
     assert m[1, 0] == J
@@ -133,7 +134,8 @@ def test_outer_hermitian_examples():
 @settings(max_examples=60, deadline=None)
 def test_array_forms_follow_quaternion_multiplication(seed):
     # Every array form is derived from Quaternion.__mul__; check each one
-    # against it entry by entry, on both sides.
+    # against it entry by entry, on both sides.  _lmat reads qmat's
+    # _LMAT_OF, the table of the reduction's kernels.
     rng = np.random.default_rng(seed)
     q, p = rng.uniform(-1, 1, (2, 4))
     tol = 8 * np.finfo(float).eps
@@ -171,7 +173,7 @@ def test_real_forms_are_defined_in_qmat_only():
 @settings(max_examples=60, deadline=None)
 def test_outer_hermitian_is_exactly_hermitian(seed, n):
     rng = np.random.default_rng(seed)
-    m = QVector(rng.uniform(-1, 1, (n, 4))).outer_hermitian()
+    m = outer_hermitian(QVector(rng.uniform(-1, 1, (n, 4))))
     # diagonal real, off-diagonal pairs exact mirror conjugates
     assert np.all(m.data[np.arange(n), np.arange(n), 1:] == 0.0)
     ct = m.conj_transpose()
@@ -209,9 +211,9 @@ def test_unit_scalar_preserves_unitarity(seed, n):
     z = Quaternion(*rng.uniform(-1, 1, 4))
     while abs(z) < 1e-3:
         z = Quaternion(*rng.uniform(-1, 1, 4))
-    z = z / abs(z)
-    assert unitary_error(u.scale_left(z)) <= 1e-12
-    assert unitary_error(u.scale_right(z)) <= 1e-12
+    z = Quaternion(*(_q4(z) / abs(z)))
+    assert unitary_error(scale_left(u, z)) <= 1e-12
+    assert unitary_error(scale_right(u, z)) <= 1e-12
 
 
 def test_real_promotion_round_trip():
@@ -272,7 +274,23 @@ def test_complex_data_rejected():
     m = QMatrix.zeros(2, 2)
     with pytest.raises(TypeError, match="complex128"):
         m[0, 1] = np.array([1.0, 1j, 0.0, 0.0])
+    for scalar in (1j, np.complex128(1.0)):
+        with pytest.raises(TypeError, match="complex128"):
+            m[0, 1] = scalar
     assert not m.data.any()
+
+
+@pytest.mark.parametrize("real", [np.float32, np.float16, np.int64])
+def test_numpy_real_scalar_entries(real):
+    """A numpy real scalar is a real entry, like a Python int or float."""
+    value = real(2)
+    expect = [2.0, 0.0, 0.0, 0.0]
+    assert QVector.from_quaternions([value]).data.tolist() == [expect]
+    assert QMatrix.from_quaternions([[value]]).data.tolist() == [[expect]]
+    v, m = QVector.zeros(2), QMatrix.zeros(2, 2)
+    v[1] = value
+    m[1, 0] = value
+    assert v.data[1].tolist() == expect and m.data[1, 0].tolist() == expect
 
 
 def test_degenerate_shapes_rejected():

@@ -17,7 +17,6 @@ from quatsvd import (
     ShapeMismatch,
     adjoint_singular_values,
     bidiagonalize,
-    form_matrix,
     left_householder,
     qsvd,
     random_qmatrix,
@@ -25,14 +24,15 @@ from quatsvd import (
     verify,
 )
 from quatsvd.qsvd import _exponent, _unitarity_residual
+from references import form_matrix
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=1, max_value=7)
 
 
 def rand_unitary(n, rng):
-    h1 = form_matrix(left_householder(QVector(rng.uniform(-1, 1, (n, 4)))))
-    h2 = form_matrix(left_householder(QVector(rng.uniform(-1, 1, (n, 4)))))
+    h1 = form_matrix(left_householder(QVector(rng.uniform(-1, 1, (n, 4)))), "left")
+    h2 = form_matrix(left_householder(QVector(rng.uniform(-1, 1, (n, 4)))), "left")
     return h1 @ h2
 
 

@@ -120,42 +120,8 @@ def test_modulus_overflow_safe():
 
 
 def test_modulus_zero_iff_zero():
-    assert Quaternion(0, 0, 0, 0).is_zero()
+    assert abs(Quaternion(0, 0, 0, 0)) == 0.0
     assert abs(Quaternion(0, 5e-324, 0, 0)) > 0.0
-
-
-@pytest.mark.parametrize("q, expected", [
-    (I, -I),
-    (Quaternion(2), Quaternion(0.5)),
-    (Quaternion(1, 1), Quaternion(0.5, -0.5)),
-])
-def test_inverse(q, expected):
-    assert q.inverse() == expected
-
-
-def test_inverse_of_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        Quaternion(0).inverse()
-
-
-@pytest.mark.parametrize("q", [
-    Quaternion(1e200),
-    Quaternion(1e-200),
-    Quaternion(3e-170, 4e-170),
-    Quaternion(1e200, -2e200, 3e200, 4e200),
-    Quaternion(1e-200, 2e-200, -3e-200, 4e-200),
-])
-def test_inverse_beyond_the_square_range(q):
-    # |q|**2 overflows or underflows here; the inverse itself is in range.
-    for prod in (q * q.inverse(), q.inverse() * q, q / q):
-        assert_components(prod, 1.0, 0.0, 0.0, 0.0, tol=4 * EPS)
-
-
-def test_inverse_raises_beyond_the_float_range_and_at_zero():
-    with pytest.raises(OverflowError):
-        Quaternion(5e-324).inverse()
-    with pytest.raises(ZeroDivisionError):
-        Quaternion(0, 0, 0, 0) / Quaternion(0, 0, -0.0, 0)
 
 
 @given(quats(), quats())
@@ -176,30 +142,15 @@ def test_modulus_multiplicative(p, q):
 @given(quats())
 def test_q_times_conjugate_is_modulus_squared(q):
     prod = q * q.conjugate()
-    m2 = q.abs_squared()
+    m2 = q.w * q.w + q.x * q.x + q.y * q.y + q.z * q.z
     assert prod.w == pytest.approx(m2, rel=1e-14, abs=0.0)
     vec = math.hypot(prod.x, prod.y, prod.z)
     assert vec <= 1e-15 * m2
 
 
-@given(quats())
-def test_unit_inverse_is_conjugate(q):
-    if abs(q) < 1e-6:
-        return
-    zeta = q / abs(q)
-    inv = zeta.inverse()
-    conj = zeta.conjugate()
-    assert_components(inv, conj.w, conj.x, conj.y, conj.z, tol=1e-13)
-
-
 def test_scalar_multiplication_both_sides():
     q = Quaternion(1, -2, 3, -4)
     assert 2.0 * q == q * 2.0 == Quaternion(2, -4, 6, -8)
-
-
-def test_division_by_quaternion():
-    q = Quaternion(1, 1, 0, 0)
-    assert (q / q - ONE).is_zero()
 
 
 def test_str_round_trips():
