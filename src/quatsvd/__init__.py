@@ -3,8 +3,9 @@
 The decomposition A = U @ Sigma @ conj(V).T of a dense quaternion
 matrix is computed by reducing A to a *real* bidiagonal matrix with
 quaternion Householder reflectors and diagonalizing the real core with
-LAPACK's SVD.  A real-adjoint + one-sided Jacobi oracle provides
-independent singular values, with a stated error bound, for validation.
+LAPACK's SVD.  An oracle, LAPACK on the complex adjoint, provides
+singular values by another route, with a stated error bound, for
+validation.
 """
 
 from .bidiag import BidiagResult, bidiagonalize, check_bidiagonal, extract_band

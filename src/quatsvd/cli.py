@@ -5,8 +5,8 @@ reduction), ``svd`` (full decomposition), ``check`` (verify stored
 factors against the source matrix), ``adjoint-svs`` (oracle singular
 values).  Exit codes: 0 success/pass, 1 verification failure, 2 parse
 or shape problems or a non-finite input entry, 3 numerical failure
-(non-convergence, oracle runs of four that do not resolve, or a result
-beyond the float range).
+(non-convergence, oracle pairs that do not resolve, or a result beyond
+the float range).
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--tol", type=_tolerance, default=1e-10)
     chk.set_defaults(func=_run_check)
 
-    adj = sub.add_parser("adjoint-svs", help="singular values via the real adjoint oracle")
+    adj = sub.add_parser("adjoint-svs", help="singular values via the complex adjoint oracle")
     adj.add_argument("input", help="input QMAT path")
     adj.set_defaults(func=_run_adjoint_svs)
 

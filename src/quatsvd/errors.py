@@ -14,9 +14,9 @@ class NonFiniteInput(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """An iteration did not converge.  From the band SVD it carries the
-    band's order `n` and Frobenius norm `band_norm`; both are None where
-    the oracle raises it."""
+    """A LAPACK SVD did not converge, or the oracle met a non-finite
+    entry.  From the band SVD it carries the band's order `n` and
+    Frobenius norm `band_norm`; both are None where the oracle raises it."""
 
     def __init__(self, message: str, n: int | None = None, band_norm: float | None = None):
         super().__init__(message)
@@ -25,7 +25,7 @@ class NoConvergence(RuntimeError):
 
 
 class GroupingFailure(RuntimeError):
-    """Adjoint singular values did not cluster into clean groups of four."""
+    """Adjoint singular values did not cluster into clean pairs."""
 
 
 class FormatError(ValueError):

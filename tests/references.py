@@ -29,7 +29,7 @@ from quatsvd.qmat import (QMatrix, QVector, RMatrix, _CONJ, _HAMILTON, _LMAT_OF,
                           _q4)
 from quatsvd.quat import Quaternion
 
-# The sweep cap of jacobi_eigen, its own rather than the oracle's.
+# The sweep cap of jacobi_eigen.
 JACOBI_MAX_SWEEPS = 50
 
 

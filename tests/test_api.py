@@ -12,9 +12,10 @@ import quatsvd
 # Test-only references, kept in tests/references.py.
 MOVED = ["apply_left", "apply_right", "right_householder_direct", "jacobi_eigen",
          "NotSymmetric", "form_matrix"]
-# Public names that no longer exist: the builders map onto e1 only, and a
-# reflector does not record its side.
-REMOVED = ["BadTarget", "Side"]
+# Public names that no longer exist: the builders map onto e1 only, a
+# reflector does not record its side, and the oracle runs on LAPACK with
+# no sweep cap of its own.
+REMOVED = ["BadTarget", "Side", "MAX_SWEEPS"]
 # Attributes the pipeline never read, deleted or moved to tests/references.py.
 GONE_ATTRIBUTES = {
     quatsvd.Quaternion: ["inverse", "__truediv__", "abs_squared", "is_zero"],
@@ -39,7 +40,8 @@ def test_test_only_references_are_not_in_the_package(module):
         assert name not in getattr(mod, "__all__", ())
 
 
-@pytest.mark.parametrize("module", ["quatsvd", "quatsvd.householder", "quatsvd.errors"])
+@pytest.mark.parametrize("module", ["quatsvd", "quatsvd.householder", "quatsvd.errors",
+                                    "quatsvd.oracle"])
 def test_removed_names_are_gone(module):
     mod = importlib.import_module(module)
     for name in REMOVED:

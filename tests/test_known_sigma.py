@@ -2,14 +2,15 @@
 
 A = P diag(sigma) Q* with random orthonormal P and Q (xLATMS-style, see
 ``references.known_sigma_matrix``) gives a reference that no SVD code
-computed.  Both qsvd modes must return sigma within
+computed.  Both qsvd modes, and the oracle ``adjoint_singular_values``,
+must return sigma within
 
     C * max(r, c) * eps * sigma_max + n * 2**-1074,   C = 16.
 
 C covers three roundings: forming A (each entry a sum of n products,
 of norm about sqrt(n) * eps * sigma_max in all), the loss of
 orthogonality of P and Q after Gram-Schmidt twice (a few eps), and
-qsvd's own backward error (a few max(r, c) * eps * sigma_max).  The
+the SVD's own backward error (a few max(r, c) * eps * sigma_max).  The
 second term is the float64 floor: near the underflow threshold every
 entry of A and every sigma is rounded to a multiple of 2**-1074.  The
 relative term is formed as one ldexp of C * max(r, c) * eps, since
@@ -21,13 +22,11 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from quatsvd import qsvd, verify
+from quatsvd import adjoint_singular_values, qsvd, verify
 from references import known_sigma_matrix, random_orthonormal_columns
 
 EPS = 2.0 ** -52
 C = 16.0
-# The last two are checked without the oracle, whose cost grows as n**3
-# on the 4r x 4c real adjoint.
 SHAPES = [(12, 12), (24, 9), (9, 24), (48, 48), (96, 40)]
 
 
@@ -95,7 +94,8 @@ def test_qsvd_recovers_prescribed_sigma(mode, shape):
         values = qsvd(a, want_vectors=False)
         assert np.abs(full.sigma - want).max() <= bound, (factor, exponent)
         assert np.abs(values.sigma - want).max() <= bound, (factor, exponent)
-        report = verify(a, full, with_oracle=max(r, c) <= 24)
+        assert np.abs(adjoint_singular_values(a) - want).max() <= bound, (factor, exponent)
+        report = verify(a, full)
         assert report.passed, (factor, exponent, report.failures())
 
 
