@@ -25,10 +25,10 @@ backward stable to a small multiple of the order times eps relative to
 the norm, so by Weyl's inequality the values move by a small multiple of
 n * eps * sigma_max.  BOUND_FACTOR is a working constant, not a proof:
 it leaves a margin of about 3 over the largest deviation from LAPACK's
-SVD of the real adjoint, 2.5 * n * eps * sigma_max, seen on 12,000
+SVD of the real adjoint, 2.5 * n * eps * sigma_max, seen on 16,000
 random, rank-deficient, column-graded and 10^(+-200)-scaled inputs of up
 to 5 x 5.  Most of that deviation is the reference's: against a 40-digit
-SVD of 400 of the random inputs the oracle was off by at most 0.34 and
+SVD of 400 other random inputs the oracle was off by at most 0.34 and
 the real adjoint by 1.35, in the same units.  Working on the adjoint
 itself keeps small values down to this absolute level; its Gram matrix
 would square the condition number and lose every value below
