@@ -13,16 +13,16 @@ from .errors import (FormatError, GroupingFailure, NoConvergence, NonFiniteInput
                      NotBidiagonal, ShapeMismatch)
 from .formats import (matrix_file_kind, read_qmatrix, read_rmatrix,
                       write_qmatrix, write_rmatrix)
-from .householder import HouseholderReflector, left_householder, right_householder
+from .householder import left_householder, right_householder
 from .oracle import adjoint_error_bound, adjoint_singular_values, real_adjoint
-from .qmat import QMatrix, QVector, RMatrix, random_qmatrix
+from .qmat import QMatrix, RMatrix, random_qmatrix
 from .qsvd import QsvdResult, VerifyReport, qsvd, reconstruct, verify
 from .quat import Quaternion
 from .rsvd import BidiagonalBand, RealSvdResult, bidiag_svd
 
 __all__ = [
-    "Quaternion", "QVector", "QMatrix", "RMatrix", "random_qmatrix",
-    "HouseholderReflector", "left_householder", "right_householder",
+    "Quaternion", "QMatrix", "RMatrix", "random_qmatrix",
+    "left_householder", "right_householder",
     "BidiagResult", "bidiagonalize", "check_bidiagonal", "extract_band",
     "BidiagonalBand", "RealSvdResult", "bidiag_svd",
     "real_adjoint", "adjoint_singular_values", "adjoint_error_bound",

@@ -3,7 +3,9 @@
 ``bidiagonalize`` alternates left and right Householder reflectors,
 built onto e1, the builders' only target: the left one sends the trailing
 part of column k to a multiple of e1, the right one does the same to the
-trailing part of row k.  Every entry the
+trailing part of row k.  The loop hands each builder a copy of the
+(n, 4) components of that part and gets back the arrays ``(u, zeta4)``;
+a zero u is the identity reflector, which it skips.  Every entry the
 construction guarantees to vanish, below or right of the band, is
 written as exact zero, with the largest discarded norm reported as
 ``snap_residue``, so the returned B is banded by construction rather
@@ -64,8 +66,7 @@ import numpy as np
 
 from .errors import NotBidiagonal
 from .householder import left_householder, right_householder
-from .qmat import (QMatrix, QVector, RMatrix, _CONJ, _HAMILTON, _LMAT_OF, _check_finite,
-                   _check_range)
+from .qmat import QMatrix, RMatrix, _CONJ, _HAMILTON, _LMAT_OF, _check_finite, _check_range
 from .quat import hamilton
 
 __all__ = ["BidiagResult", "bidiagonalize", "check_bidiagonal", "extract_band"]
@@ -144,7 +145,7 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
     # The one scan of the input (see the module docstring).
     top = np.abs(work).max()
     if not math.isfinite(top):
-        _check_finite(a)
+        _check_finite(a.data)
     scale = math.frexp(top)[1]
     if scale:
         np.ldexp(work, -scale, out=work)
@@ -161,25 +162,25 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
         sub = np.ascontiguousarray(work[k0:, :, k0:])
         for k in range(k0, min(k0 + _NB, cols)):
             i = k - k0
-            h = left_householder(QVector._wrap(sub[i:, :, i].copy()))
+            u, zeta4 = left_householder(sub[i:, :, i].copy())
             s = _ONE  # conj(z), the scalar of row k in L*
-            if not h.is_identity:
-                _reflect_left(h.u.data, sub[i:], i)
+            if np.count_nonzero(u):
+                _reflect_left(u, sub[i:], i)
                 if accumulate:
-                    s = hamilton(h.zeta4.tolist(), sigma)
-                    lrefl.append((k, h.u.data, s))
+                    s = hamilton(zeta4.tolist(), sigma)
+                    lrefl.append((k, u, s))
             if k <= cols - 2:
-                g = right_householder(QVector._wrap(sub[i, :, i + 1:].T.copy()))
+                u, zeta4 = right_householder(sub[i, :, i + 1:].T.copy())
                 sigma = _ONE
-                if not g.is_identity:
-                    _reflect_right(g.u.data, sub[i:], i + 1)
+                if np.count_nonzero(u):
+                    _reflect_right(u, sub[i:], i + 1)
                     if accumulate:
-                        sigma = hamilton((g.zeta4 * _CONJ).tolist(), s)
+                        sigma = hamilton((zeta4 * _CONJ).tolist(), s)
                         # Renormalised, so that rounding does not build up
                         # along the chain.
                         norm = math.hypot(*sigma)
                         sigma = tuple(c / norm for c in sigma)
-                        rrefl.append((k + 1, g.u.data, sigma))
+                        rrefl.append((k + 1, u, sigma))
         if k0:
             work[k0:, :, k0:] = sub
 

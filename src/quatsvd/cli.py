@@ -58,7 +58,7 @@ def _read(path: str, reader):
     or a NaN or infinite entry, exits 2 with the path named."""
     try:
         matrix = reader(path)
-        _check_finite(matrix)
+        _check_finite(matrix.data, not isinstance(matrix, RMatrix))
         return matrix
     except FileNotFoundError:
         raise _CommandError(2, f"{path}: no such file") from None

@@ -10,6 +10,11 @@ from the right.  The two cases genuinely differ because quaternion
 multiplication does not commute; the right reflector is obtained from a
 left reflector of the conjugated vector.
 
+Both builders take the vector as its (n, 4) float64 component array, one
+``(w, x, y, z)`` row per entry, and return the arrays ``(u, zeta4)``: u
+in the same layout and zeta as its (4,) components.  The pair is all of
+H or G, and does not record which builder made it.
+
 With ``alpha = norm(a)``, ``zeta = -a_1/|a_1|`` (1 when ``|a_1| <= n*eps*alpha``)
 and ``u = (a - zeta*alpha*e1) / (sqrt(alpha) * sqrt(alpha + |a_1|))``.  The
 paper's formula allows any real unit target; the package builds onto e1
@@ -20,51 +25,35 @@ and the only one LAPACK's xLARFG supports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import QVector, _CONJ, _SQ_MAX, _SQ_MIN, _check_finite, _rescaled_squares
+from .qmat import _CONJ, _SQ_MAX, _SQ_MIN, _check_finite, _components, _rescaled_squares
 
 EPS = 2.0 ** -52
 
-__all__ = ["HouseholderReflector", "left_householder", "right_householder"]
+__all__ = ["left_householder", "right_householder"]
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class HouseholderReflector:
-    """A built reflector: `u` and the unit scalar zeta as its (4,) component
-    array `zeta4`.  That is all of H = z (I - u u*) from left_householder
-    and of G = (I - u u*) z from right_householder, with z = conj(zeta);
-    the reflector does not record which builder made it."""
-    u: QVector
-    zeta4: np.ndarray
-
-    @property
-    def is_identity(self) -> bool:
-        return not np.count_nonzero(self.u.data)
-
-    def __len__(self) -> int:
-        return len(self.u)
-
-
-def _scaled_norm(a: QVector) -> tuple[np.ndarray, float]:
-    """``(data, alpha)``: the components of `a` and their norm by qmat's
-    norm rule, its range test inline so that a build pays no extra call.
-    Raises NonFiniteInput for a NaN or infinite entry; a rescaled `a` comes
-    back times a power of two for which every later step of a build is
-    exact, so u and zeta come out as from `a`."""
-    data = a.data
+def _scaled_norm(a) -> tuple[np.ndarray, float]:
+    """``(data, alpha)``: the (n, 4) components `a`, checked by the shape
+    rule of the matrices, and their norm by qmat's norm rule, its range
+    test inline so that a build pays no extra call.  Raises TypeError for
+    complex data, ShapeMismatch for any other shape and NonFiniteInput for
+    a NaN or infinite entry; a rescaled `a` comes back times a power of two
+    for which every later step of a build is exact, so u and zeta come out
+    as from `a`."""
+    data = _components(a, 2, True, "a reflector's vector")
     flat = data.ravel()
     sq = np.vdot(flat, flat)
     if not _SQ_MIN <= sq <= _SQ_MAX:
-        _check_finite(a)
+        _check_finite(data)
         _, data, sq = _rescaled_squares(data)
     return data, math.sqrt(sq)
 
 
 def _reflector(a_data: np.ndarray, alpha: float):
-    """``(u, zeta)`` as arrays for the left reflector of the (n, 4) components
+    """``(u, zeta4)`` for the left reflector of the (n, 4) components
     `a_data` of norm `alpha` onto e1 (see left_householder)."""
     if alpha == 0.0:
         return np.zeros_like(a_data), np.array([1.0, 0.0, 0.0, 0.0])
@@ -84,23 +73,24 @@ def _reflector(a_data: np.ndarray, alpha: float):
     return u, zeta4
 
 
-def left_householder(a: QVector) -> HouseholderReflector:
-    """Reflector mapping the column vector `a` onto ``norm(a) * e1``: with
-    ``alpha = norm(a)`` and ``r = |a_1|``, ``zeta = 1`` when r vanishes and
-    ``-a_1/r`` otherwise, and ``u = (a - zeta*alpha*e1) / (sqrt(alpha) *
-    sqrt(alpha + r))``.  A zero `a` yields the identity reflector (zero u,
-    zeta = 1), and a NaN or infinite entry raises NonFiniteInput."""
+def left_householder(a) -> tuple[np.ndarray, np.ndarray]:
+    """``(u, zeta4)`` of the reflector mapping the column vector with (n, 4)
+    components `a` onto ``norm(a) * e1``: with ``alpha = norm(a)`` and
+    ``r = |a_1|``, ``zeta = 1`` when r vanishes and ``-a_1/r`` otherwise,
+    and ``u = (a - zeta*alpha*e1) / (sqrt(alpha) * sqrt(alpha + r))``.  A
+    zero `a` yields the identity reflector (zero u, zeta = 1), and a NaN or
+    infinite entry raises NonFiniteInput."""
     data, alpha = _scaled_norm(a)
-    u, zeta4 = _reflector(data, alpha)
-    return HouseholderReflector(QVector._wrap(u), zeta4)
+    return _reflector(data, alpha)
 
 
-def right_householder(a_row: QVector) -> HouseholderReflector:
-    """Reflector mapping the row vector `a_row` from the right onto
-    ``norm(a) * e1.T``, built by reduction to the left case: a left
-    reflector of the entrywise-conjugated vector gives ``H``, and the right
-    transformation is its conjugate transpose, which shares the same ``u``
-    and carries the conjugated scalar."""
+def right_householder(a_row) -> tuple[np.ndarray, np.ndarray]:
+    """``(u, zeta4)`` of the reflector mapping the row vector with (n, 4)
+    components `a_row` from the right onto ``norm(a) * e1.T``, built by
+    reduction to the left case: a left reflector of the entrywise-conjugated
+    vector gives ``H``, and the right transformation is its conjugate
+    transpose, which shares the same ``u`` and carries the conjugated
+    scalar."""
     data, alpha = _scaled_norm(a_row)
     u, zeta4 = _reflector(data * _CONJ, alpha)
-    return HouseholderReflector(QVector._wrap(u), zeta4 * _CONJ)
+    return u, zeta4 * _CONJ

@@ -1,7 +1,7 @@
-"""Dense quaternion matrices and vectors, and real matrices.
+"""Dense quaternion and real matrices.
 
-Storage is a row-major float64 array, checked once by a shared base; the
-quaternion types add a trailing axis of length 4 holding ``(w, x, y, z)``.
+Storage is a row-major float64 array, checked once by a shared base; a
+quaternion matrix adds a trailing axis of length 4 holding ``(w, x, y, z)``.
 The Hamilton product is written out once, in ``quat.hamilton``; this
 module reads its structure constants off the products of the units
 ``1, i, j, k`` at import, and every array product, real form and
@@ -18,7 +18,7 @@ import numpy as np
 from .errors import NonFiniteInput, ShapeMismatch
 from .quat import I, J, K, ONE, Quaternion
 
-__all__ = ["QMatrix", "QVector", "RMatrix", "random_qmatrix"]
+__all__ = ["QMatrix", "RMatrix", "random_qmatrix"]
 
 
 def _q4(q: Quaternion) -> np.ndarray:
@@ -51,16 +51,16 @@ def _hmatmul(a, b):
     return (prods.reshape(16, -1).T @ _HAMILTON).reshape(a.shape[0], b.shape[1], 4)
 
 
-def _check_finite(a: _Array) -> None:
-    """Raise NonFiniteInput naming the first entry of a quaternion vector,
-    quaternion matrix or real matrix that is NaN or infinite or has such a
-    component."""
-    entries = a.data if a._quaternion else a.data[..., np.newaxis]
+def _check_finite(data: np.ndarray, quaternion: bool = True) -> None:
+    """Raise NonFiniteInput naming the first entry of `data` that is NaN or
+    infinite or has such a component; with `quaternion` the last axis holds
+    an entry's components, as in a quaternion vector or matrix."""
+    entries = data if quaternion else data[..., np.newaxis]
     bad = ~np.isfinite(entries).all(axis=-1)
     if bad.any():
         at = tuple(np.argwhere(bad)[0].tolist())
         raise NonFiniteInput(
-            f"entry {at if len(at) > 1 else at[0]} is not finite: {a.data[at].tolist()}")
+            f"entry {at if len(at) > 1 else at[0]} is not finite: {data[at].tolist()}")
 
 
 def _check_range(what: str, top: float, exponent: int) -> None:
@@ -110,12 +110,26 @@ def _as_float64(data) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.float64)
 
 
+def _components(data, ndim: int, quaternion: bool, what: str) -> np.ndarray:
+    """`data` as _as_float64 gives it, with `ndim` nonempty axes, the last
+    of length 4 if `quaternion`; any other shape is a ShapeMismatch that
+    names `what`.  The one shape rule of the matrices and the reflector
+    builders."""
+    arr = _as_float64(data)
+    shape = arr.shape
+    if len(shape) != ndim or 0 in shape or (quaternion and shape[-1] != 4):
+        raise ShapeMismatch(
+            f"{what} needs {ndim} nonempty axes{', the last of length 4' if quaternion else ''}, "
+            f"got shape {np.shape(data)}")
+    return arr
+
+
 # ---------------------------------------------------------------------------
 
 
-class _Array:
-    """`data`, a C-contiguous float64 array of `_ndim` nonempty axes, the
-    last of length 4 if `_quaternion`; any other array is a ShapeMismatch."""
+class _Matrix:
+    """`data`, checked by _components, and the accessors QMatrix and
+    RMatrix share."""
 
     __slots__ = ("data",)
     _ndim: int
@@ -124,32 +138,10 @@ class _Array:
     __array_ufunc__ = None
 
     def __init__(self, data):
-        arr = _as_float64(data)
-        shape = arr.shape
-        if len(shape) != self._ndim or 0 in shape or (self._quaternion and shape[-1] != 4):
-            raise ShapeMismatch(
-                f"{type(self).__name__} needs {self._ndim} nonempty axes"
-                f"{', the last of length 4' if self._quaternion else ''}, "
-                f"got shape {np.shape(data)}")
-        self.data = arr
-
-    @classmethod
-    def _wrap(cls, data: np.ndarray):
-        """An instance around `data` as it is, unchecked: only for a fresh
-        C-contiguous float64 array of the right shape that the package has
-        just made, such as a reflector's input copy or its u."""
-        obj = object.__new__(cls)
-        obj.data = data
-        return obj
+        self.data = _components(data, self._ndim, self._quaternion, type(self).__name__)
 
     def copy(self):
         return type(self)(self.data.copy())
-
-
-class _Matrix(_Array):
-    """The accessors QMatrix and RMatrix share."""
-
-    __slots__ = ()
 
     @property
     def rows(self) -> int:
@@ -174,38 +166,6 @@ class _Matrix(_Array):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.rows}x{self.cols})"
-
-
-class QVector(_Array):
-    """Dense quaternion vector backed by an (n, 4) component array."""
-
-    __slots__ = ()
-    _ndim, _quaternion = 2, True
-
-    @classmethod
-    def zeros(cls, n: int) -> QVector:
-        return cls(np.zeros((n, 4)))
-
-    @classmethod
-    def from_quaternions(cls, entries) -> QVector:
-        rows = [_entry_components(q) for q in entries]
-        return cls(np.array(rows, dtype=np.float64))
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-    def __getitem__(self, i: int) -> Quaternion:
-        return Quaternion(*self.data[i])
-
-    def __setitem__(self, i: int, value):
-        self.data[i] = _entry_components(value)
-
-    def norm(self) -> float:
-        """Euclidean norm, the square root of the summed squared moduli."""
-        return _safe_norm(self.data)
-
-    def __repr__(self) -> str:
-        return f"QVector(len={len(self)})"
 
 
 class QMatrix(_Matrix):

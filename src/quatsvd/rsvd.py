@@ -60,9 +60,9 @@ class BidiagonalBand:
 
 @dataclass(frozen=True)
 class RealSvdResult:
-    w: RMatrix
+    w: RMatrix | None
     sigma: np.ndarray
-    x: RMatrix
+    x: RMatrix | None
 
 
 def bidiag_svd(band: BidiagonalBand, want_vectors: bool = True) -> RealSvdResult:
@@ -70,16 +70,15 @@ def bidiag_svd(band: BidiagonalBand, want_vectors: bool = True) -> RealSvdResult
 
     Returns orthogonal W, X and nonnegative descending sigma with
     ``W @ diag(sigma) @ X.T`` equal to the band.  With
-    ``want_vectors=False`` W and X come back as identity placeholders.
+    ``want_vectors=False`` W and X are skipped and come back as None.
     Raises NoConvergence, carrying the band's order and norm, if LAPACK
     reports that the SVD did not converge.
     """
     dense = band.dense().data
-    eye = np.eye(band.n)
     try:
         sigma = np.linalg.svd(dense, compute_uv=False)
         if not want_vectors:
-            return RealSvdResult(w=RMatrix(eye), sigma=sigma, x=RMatrix(eye.copy()))
+            return RealSvdResult(w=None, sigma=sigma, x=None)
         w, _, xt = np.linalg.svd(dense)
     except np.linalg.LinAlgError as err:
         norm = band.frobenius_norm()

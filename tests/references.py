@@ -7,7 +7,8 @@ eigenvalues of B^T B and of the real adjoint's Gram.
 closed form, with its own norm, a cross-check of ``right_householder``.
 ``apply_left`` and ``apply_right`` apply a reflector on the interleaved
 (r, c, 4) layout through the Hamilton product of component arrays, a
-second path beside ``bidiagonalize``'s planar kernels.
+second path beside ``bidiagonalize``'s planar kernels.  A reflector is the
+builders' pair ``(u, zeta4)`` of arrays, a vector its (n, 4) components.
 ``form_matrix`` forms a reflector's explicit matrix from the Hermitian
 outer product ``outer_hermitian`` and the unit-scalar side scaling
 ``scale_left`` and ``scale_right``, which multiply through the real 4x4
@@ -24,9 +25,8 @@ import math
 import numpy as np
 
 from quatsvd.errors import NoConvergence, NonFiniteInput, ShapeMismatch
-from quatsvd.householder import EPS, HouseholderReflector
-from quatsvd.qmat import (QMatrix, QVector, RMatrix, _CONJ, _HAMILTON, _LMAT_OF, _hmatmul,
-                          _q4)
+from quatsvd.householder import EPS
+from quatsvd.qmat import QMatrix, RMatrix, _CONJ, _HAMILTON, _LMAT_OF, _hmatmul, _q4
 from quatsvd.quat import Quaternion
 
 # The sweep cap of jacobi_eigen.
@@ -104,18 +104,19 @@ def _norm_by_rule(data: np.ndarray) -> tuple[np.ndarray, float]:
     return data, math.sqrt(sq)
 
 
-def right_householder_direct(a_row: QVector) -> HouseholderReflector:
-    """Right reflector onto e1 from the closed-form construction, used as
-    a cross-check against :func:`right_householder`.
+def right_householder_direct(a_row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(u, zeta4)`` of the right reflector onto e1 of the row with (n, 4)
+    components `a_row`, from the closed-form construction, used as a
+    cross-check against :func:`right_householder`.
 
     The projection uses ``r = |a_1|`` and
     ``u_i = (alpha * conj(zeta) * delta_i1 - conj(a_i)) / mu``.  The
     resulting ``u`` differs from the reduction path by a sign, so only the
     projector ``u @ conj(u).T`` (and hence the transformation) coincides.
     """
-    data, alpha = _norm_by_rule(a_row.data)
+    data, alpha = _norm_by_rule(np.asarray(a_row, dtype=np.float64))
     if alpha == 0.0:
-        return HouseholderReflector(QVector.zeros(len(a_row)), np.array([1.0, 0.0, 0.0, 0.0]))
+        return np.zeros_like(data), np.array([1.0, 0.0, 0.0, 0.0])
 
     t = data[0]
     r = math.hypot(*t)
@@ -127,7 +128,7 @@ def right_householder_direct(a_row: QVector) -> HouseholderReflector:
     mu = math.sqrt(alpha) * math.sqrt(alpha + r)  # no overflow of alpha**2
     u = -data * _CONJ
     u[0] += alpha * zeta4 * _CONJ
-    return HouseholderReflector(QVector(u / mu), zeta4)
+    return u / mu, zeta4
 
 
 # --- explicit matrices: the Hermitian outer product and the side scaling
@@ -159,9 +160,9 @@ def scale_right(m: QMatrix, q: Quaternion) -> QMatrix:
     return QMatrix(_hscale(_q4(q), m.data, "right"))
 
 
-def outer_hermitian(v: QVector) -> QMatrix:
-    """Rank-one Hermitian matrix with entries ``u_i * conj(u_j)``."""
-    u = v.data
+def outer_hermitian(u: np.ndarray) -> QMatrix:
+    """Rank-one Hermitian matrix with entries ``u_i * conj(u_j)`` of the
+    vector with (n, 4) components `u`."""
     out = _hmatmul(u[:, np.newaxis, :], (u * _CONJ)[np.newaxis, :, :])
     # Mirror the strict triangle: (i,j) and (j,i) sum the same products in
     # different orders, so symmetry would otherwise hold only to rounding.
@@ -173,13 +174,13 @@ def outer_hermitian(v: QVector) -> QMatrix:
     return QMatrix(out)
 
 
-def form_matrix(h: HouseholderReflector, side: str) -> QMatrix:
-    """Explicit transformation matrix of a reflector from left_householder
-    (`side` "left"), ``z (I - u u*)``, or from right_householder ("right"),
-    ``(I - u u*) z``, with ``z = conj(zeta)``."""
-    m = len(h)
-    projector = QMatrix.identity(m) - outer_hermitian(h.u)
-    return QMatrix(_hscale(h.zeta4 * _CONJ, projector.data, side))
+def form_matrix(h, side: str) -> QMatrix:
+    """Explicit transformation matrix of a reflector ``(u, zeta4)`` from
+    left_householder (`side` "left"), ``z (I - u u*)``, or from
+    right_householder ("right"), ``(I - u u*) z``, with ``z = conj(zeta)``."""
+    u, zeta4 = h
+    projector = QMatrix.identity(len(u)) - outer_hermitian(u)
+    return QMatrix(_hscale(zeta4 * _CONJ, projector.data, side))
 
 
 def _apply_left_block(u_data, z4, block):
@@ -196,33 +197,37 @@ def _apply_right_block(u_data, z4, block):
     return _hscale(z4, out, "right")
 
 
-def apply_left(h: HouseholderReflector, target):
-    """Apply a reflector from left_householder, ``z (I - u u*)``, from the
-    left without forming the matrix.
+def apply_left(h, target):
+    """Apply a reflector ``(u, zeta4)`` from left_householder,
+    ``z (I - u u*)``, from the left without forming the matrix.
 
-    `target` may be a QMatrix (rows must match ``len(h)``) or a QVector,
-    returned as the same type.  Cost is one pass over the entries.
+    `target` may be a QMatrix (rows must match ``len(u)``) or the (n, 4)
+    components of a column vector, returned as the same type.  Cost is one
+    pass over the entries.
     """
-    if isinstance(target, QVector):
-        return QVector(apply_left(h, QMatrix(target.data[:, np.newaxis])).data[:, 0])
-    if target.rows != len(h):
-        raise ShapeMismatch(f"reflector length {len(h)} does not match {target.rows} rows")
-    if h.is_identity:
+    if isinstance(target, np.ndarray):
+        return apply_left(h, QMatrix(target[:, np.newaxis])).data[:, 0]
+    u, zeta4 = h
+    if target.rows != len(u):
+        raise ShapeMismatch(f"reflector length {len(u)} does not match {target.rows} rows")
+    if not u.any():
         return target.copy()
-    return QMatrix(_apply_left_block(h.u.data, h.zeta4 * _CONJ, target.data))
+    return QMatrix(_apply_left_block(u, zeta4 * _CONJ, target.data))
 
 
-def apply_right(h: HouseholderReflector, target):
-    """Apply a reflector from right_householder, ``(I - u u*) z``, from the
-    right; `target` is a QMatrix whose column count matches, or a QVector
-    treated as a single row."""
-    if isinstance(target, QVector):
-        return QVector(apply_right(h, QMatrix(target.data[np.newaxis])).data[0])
-    if target.cols != len(h):
-        raise ShapeMismatch(f"reflector length {len(h)} does not match {target.cols} columns")
-    if h.is_identity:
+def apply_right(h, target):
+    """Apply a reflector ``(u, zeta4)`` from right_householder,
+    ``(I - u u*) z``, from the right; `target` is a QMatrix whose column
+    count matches, or the (n, 4) components of a row vector, returned as
+    the same type."""
+    if isinstance(target, np.ndarray):
+        return apply_right(h, QMatrix(target[np.newaxis])).data[0]
+    u, zeta4 = h
+    if target.cols != len(u):
+        raise ShapeMismatch(f"reflector length {len(u)} does not match {target.cols} columns")
+    if not u.any():
         return target.copy()
-    return QMatrix(_apply_right_block(h.u.data, h.zeta4 * _CONJ, target.data))
+    return QMatrix(_apply_right_block(u, zeta4 * _CONJ, target.data))
 
 
 # Signs of the conjugate's components.

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -12,16 +13,14 @@ import quatsvd
 # Test-only references, kept in tests/references.py.
 MOVED = ["apply_left", "apply_right", "right_householder_direct", "jacobi_eigen",
          "NotSymmetric", "form_matrix"]
-# Public names that no longer exist: the builders map onto e1 only, a
-# reflector does not record its side, and the oracle runs on LAPACK with
-# no sweep cap of its own.
-REMOVED = ["BadTarget", "Side", "MAX_SWEEPS"]
+# Public names that no longer exist: the builders map onto e1 only and
+# take and return plain arrays, a reflector does not record its side, and
+# the oracle runs on LAPACK with no sweep cap of its own.
+REMOVED = ["BadTarget", "Side", "MAX_SWEEPS", "HouseholderReflector", "QVector"]
 # Attributes the pipeline never read, deleted or moved to tests/references.py.
 GONE_ATTRIBUTES = {
     quatsvd.Quaternion: ["inverse", "__truediv__", "abs_squared", "is_zero"],
     quatsvd.QMatrix: ["scale_left", "scale_right"],
-    quatsvd.QVector: ["outer_hermitian"],
-    quatsvd.HouseholderReflector: ["zeta", "z", "side"],
 }
 
 
@@ -41,7 +40,7 @@ def test_test_only_references_are_not_in_the_package(module):
 
 
 @pytest.mark.parametrize("module", ["quatsvd", "quatsvd.householder", "quatsvd.errors",
-                                    "quatsvd.oracle"])
+                                    "quatsvd.oracle", "quatsvd.qmat"])
 def test_removed_names_are_gone(module):
     mod = importlib.import_module(module)
     for name in REMOVED:
@@ -78,3 +77,32 @@ def test_every_import_is_used(path):
                 for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not imported - used, sorted(imported - used)
+
+
+def test_every_private_name_is_read():
+    """A private name defined at the top level of a module in
+    src/quatsvd/, or in the body of one of its classes, is read somewhere
+    in the package, as a name or as an attribute; so no helper outlives
+    its last caller.  And the reduction builds no reflector object: the
+    builders' results are plain arrays."""
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES[:-1]}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    for name, tree in trees.items():
+        bodies = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+        defined = set()
+        for node in (node for body in bodies for node in body):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        private = {n for n in defined if n.startswith("_") and not n.startswith("__")}
+        assert not private - read, (name, sorted(private - read))
+    bidiag = Path(quatsvd.__file__).with_name("bidiag.py").read_text()
+    assert not re.search(r"\b(QVector|HouseholderReflector)\b", bidiag)

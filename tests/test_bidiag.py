@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 
 import quatsvd.bidiag as bidiag
 from quatsvd import (
-    HouseholderReflector,
     NonFiniteInput,
     NotBidiagonal,
     QMatrix,
-    QVector,
     Quaternion,
     RMatrix,
     bidiagonalize,
@@ -89,12 +87,12 @@ def _embed(m: QMatrix, size: int, offset: int) -> QMatrix:
 
 def _bare(h):
     """`h` without its unit scalar: the projector I - u u* alone."""
-    return HouseholderReflector(h.u, np.array([1.0, 0.0, 0.0, 0.0]))
+    return h[0], np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def _z(h) -> Quaternion:
     """The unit scalar of `h`'s transformation, conj(zeta)."""
-    return Quaternion(*h.zeta4).conjugate()
+    return Quaternion(*h[1]).conjugate()
 
 
 def _pivot(size: int, offset: int, z: Quaternion) -> QMatrix:
@@ -116,12 +114,12 @@ def explicit_bidiagonalize(a: QMatrix):
     right = QMatrix.identity(c)
     work = a.copy()
     for k in range(c):
-        h = left_householder(QVector(work.data[k:, k, :].copy()))
+        h = left_householder(work.data[k:, k, :].copy())
         hm = _pivot(r, k, _z(h)) @ _embed(form_matrix(_bare(h), "left"), r, k)
         work = hm @ work
         left = hm @ left
         if k <= c - 2:
-            g = right_householder(QVector(work.data[k, k + 1 :, :].copy()))
+            g = right_householder(work.data[k, k + 1 :, :].copy())
             gm = _embed(form_matrix(_bare(g), "right"), c, k + 1) @ _pivot(c, k + 1, _z(g))
             work = work @ gm
             right = right @ gm
@@ -151,12 +149,12 @@ def reflector_bidiagonalize(a: QMatrix):
         return right.conj_transpose(), band.T, left.conj_transpose()
     work, left, right = a.copy(), QMatrix.identity(r), QMatrix.identity(c)
     for k in range(c):
-        h = left_householder(QVector(work.data[k:, k, :].copy()))
+        h = left_householder(work.data[k:, k, :].copy())
         for m in (work, left):
             m.data[k:] = apply_left(_bare(h), QMatrix(m.data[k:])).data
             m.data[k:k + 1] = scale_left(QMatrix(m.data[k:k + 1]), _z(h)).data
         if k <= c - 2:
-            g = right_householder(QVector(work.data[k, k + 1:, :].copy()))
+            g = right_householder(work.data[k, k + 1:, :].copy())
             for m in (work, right):
                 m.data[:, k + 1:] = apply_right(_bare(g), QMatrix(m.data[:, k + 1:])).data
                 m.data[:, k + 1:k + 2] = scale_right(QMatrix(m.data[:, k + 1:k + 2]), _z(g)).data
@@ -420,7 +418,7 @@ def test_kernels_apply_the_bare_reflector(side):
     for _ in range(10):
         u = rng.standard_normal((m, 4))
         u *= np.sqrt(2.0) / np.linalg.norm(u)
-        bare = HouseholderReflector(QVector(u), np.array([1.0, 0.0, 0.0, 0.0]))
+        bare = u, np.array([1.0, 0.0, 0.0, 0.0])
         out = block.copy()
         kernel(u, out)
         expect = apply(bare, QMatrix(block.transpose(0, 2, 1).copy())).data.transpose(0, 2, 1)

@@ -19,7 +19,6 @@ from quatsvd import (
     GroupingFailure,
     NoConvergence,
     QMatrix,
-    QVector,
     Quaternion,
     RMatrix,
     adjoint_error_bound,
@@ -278,8 +277,8 @@ def test_grouping_failure_on_lost_conditioning():
     rng = np.random.default_rng(1)
 
     def rand_unitary(n):
-        h1 = form_matrix(left_householder(QVector(rng.uniform(-1, 1, (n, 4)))), "left")
-        h2 = form_matrix(left_householder(QVector(rng.uniform(-1, 1, (n, 4)))), "left")
+        h1 = form_matrix(left_householder(rng.uniform(-1, 1, (n, 4))), "left")
+        h2 = form_matrix(left_householder(rng.uniform(-1, 1, (n, 4))), "left")
         return h1 @ h2
 
     core = diag_qmatrix([Quaternion(1), Quaternion(1), Quaternion(1e-9)])

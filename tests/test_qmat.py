@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import quatsvd.qmat as qmat
 from quatsvd.errors import ShapeMismatch
-from quatsvd.householder import left_householder
-from quatsvd.qmat import QMatrix, QVector, RMatrix, _hmatmul, _q4, random_qmatrix
+from quatsvd.householder import left_householder, right_householder
+from quatsvd.qmat import QMatrix, RMatrix, _hmatmul, _q4, random_qmatrix
 from quatsvd.quat import I, J, K, Quaternion
 from references import (_hscale, _lmat, _rmat, form_matrix, outer_hermitian, scale_left,
                         scale_right)
@@ -27,9 +27,9 @@ def unitary_error(q: QMatrix) -> float:
 
 def random_unitary(n, rng):
     # product of two Householder transformations: unitary by construction
-    u = form_matrix(left_householder(QVector(rng.uniform(-1, 1, (n, 4)))), "left")
+    u = form_matrix(left_householder(rng.uniform(-1, 1, (n, 4))), "left")
     if n > 1:
-        u = u @ form_matrix(left_householder(QVector(rng.uniform(-1, 1, (n, 4)))), "left")
+        u = u @ form_matrix(left_householder(rng.uniform(-1, 1, (n, 4))), "left")
     return u
 
 
@@ -95,12 +95,16 @@ def assert_norm(norm, data):
 
 
 def test_vector_norms():
-    assert QVector.from_quaternions([Quaternion(1), I]).norm() == pytest.approx(np.sqrt(2), rel=1e-15)
-    assert QVector.zeros(3).norm() == 0.0
-    v = QVector.from_quaternions([Quaternion(1, 1, 1, 1), Quaternion(2)])
-    assert v.norm() == pytest.approx(np.sqrt(8), rel=1e-15)
+    """The norm of a vector is the Frobenius norm of its one-column matrix."""
+    def column(*entries):
+        return QMatrix.from_quaternions([[q] for q in entries])
+
+    assert column(Quaternion(1), I).frobenius_norm() == pytest.approx(np.sqrt(2), rel=1e-15)
+    assert QMatrix.zeros(3, 1).frobenius_norm() == 0.0
+    v = column(Quaternion(1, 1, 1, 1), Quaternion(2))
+    assert v.frobenius_norm() == pytest.approx(np.sqrt(8), rel=1e-15)
     for data in extreme_components((5, 4), 6):
-        assert_norm(QVector(data).norm, data)
+        assert_norm(QMatrix(data[:, np.newaxis]).frobenius_norm, data)
 
 
 def test_frobenius_norms():
@@ -121,9 +125,9 @@ def test_frobenius_overflow_safe():
 
 
 def test_outer_hermitian_examples():
-    assert outer_hermitian(QVector.from_quaternions([Quaternion(1)]))[0, 0] == Quaternion(1)
-    assert outer_hermitian(QVector.from_quaternions([I]))[0, 0] == Quaternion(1)
-    m = outer_hermitian(QVector.from_quaternions([Quaternion(1), J]))
+    assert outer_hermitian(np.array([_q4(Quaternion(1))]))[0, 0] == Quaternion(1)
+    assert outer_hermitian(np.array([_q4(I)]))[0, 0] == Quaternion(1)
+    m = outer_hermitian(np.array([_q4(Quaternion(1)), _q4(J)]))
     assert m[0, 0] == Quaternion(1)
     assert m[0, 1] == -J
     assert m[1, 0] == J
@@ -173,7 +177,7 @@ def test_real_forms_are_defined_in_qmat_only():
 @settings(max_examples=60, deadline=None)
 def test_outer_hermitian_is_exactly_hermitian(seed, n):
     rng = np.random.default_rng(seed)
-    m = outer_hermitian(QVector(rng.uniform(-1, 1, (n, 4))))
+    m = outer_hermitian(rng.uniform(-1, 1, (n, 4)))
     # diagonal real, off-diagonal pairs exact mirror conjugates
     assert np.all(m.data[np.arange(n), np.arange(n), 1:] == 0.0)
     ct = m.conj_transpose()
@@ -266,7 +270,8 @@ def test_random_qmatrix_range_and_determinism():
 def test_complex_data_rejected():
     """numpy's cast to float64 keeps only the real part, with a warning at
     most; every array entry point refuses complex data instead."""
-    for cls, shape in ((QVector, (3, 4)), (QMatrix, (2, 3, 4)), (RMatrix, (2, 3))):
+    for cls, shape in ((left_householder, (3, 4)), (right_householder, (3, 4)),
+                       (QMatrix, (2, 3, 4)), (RMatrix, (2, 3))):
         with pytest.raises(TypeError, match="complex128"):
             cls(np.ones(shape) * 1j)
         with pytest.raises(TypeError, match="complex64"):
@@ -285,21 +290,17 @@ def test_numpy_real_scalar_entries(real):
     """A numpy real scalar is a real entry, like a Python int or float."""
     value = real(2)
     expect = [2.0, 0.0, 0.0, 0.0]
-    assert QVector.from_quaternions([value]).data.tolist() == [expect]
     assert QMatrix.from_quaternions([[value]]).data.tolist() == [[expect]]
-    v, m = QVector.zeros(2), QMatrix.zeros(2, 2)
-    v[1] = value
+    m = QMatrix.zeros(2, 2)
     m[1, 0] = value
-    assert v.data[1].tolist() == expect and m.data[1, 0].tolist() == expect
+    assert m.data[1, 0].tolist() == expect
 
 
 def test_degenerate_shapes_rejected():
     with pytest.raises(ShapeMismatch):
         QMatrix.zeros(0, 2)
-    with pytest.raises(ShapeMismatch):
-        QVector.zeros(0)
     bad = {
-        QVector: [(0, 4), (3, 0), (4,), (2, 2, 4), (3, 3), (3, 5)],
+        left_householder: [(0, 4), (3, 0), (4,), (2, 2, 4), (3, 3), (3, 5)],
         QMatrix: [(0, 2, 4), (2, 0, 4), (2, 2, 0), (2, 4), (1, 2, 2, 4), (2, 2, 3), (2, 2, 1)],
         RMatrix: [(0, 2), (2, 0), (4,), (2, 2, 4), ()],
     }
@@ -308,7 +309,7 @@ def test_degenerate_shapes_rejected():
             with pytest.raises(ShapeMismatch):
                 cls(np.zeros(shape))
     # the accepted layouts come back C-contiguous float64
-    for value in (QVector(np.ones((4, 3), dtype=int).T),
-                  QMatrix(np.zeros((4, 2, 3)).transpose(1, 2, 0)),
-                  RMatrix(np.arange(6).reshape(2, 3).T)):
-        assert value.data.dtype == np.float64 and value.data.flags.c_contiguous
+    for data in (left_householder(np.ones((4, 3), dtype=int).T)[0],
+                 QMatrix(np.zeros((4, 2, 3)).transpose(1, 2, 0)).data,
+                 RMatrix(np.arange(6).reshape(2, 3).T).data):
+        assert data.dtype == np.float64 and data.flags.c_contiguous

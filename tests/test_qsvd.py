@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from quatsvd import (
     NonFiniteInput,
     QMatrix,
-    QVector,
     QsvdResult,
     Quaternion,
     RMatrix,
@@ -31,8 +30,8 @@ dims = st.integers(min_value=1, max_value=7)
 
 
 def rand_unitary(n, rng):
-    h1 = form_matrix(left_householder(QVector(rng.uniform(-1, 1, (n, 4)))), "left")
-    h2 = form_matrix(left_householder(QVector(rng.uniform(-1, 1, (n, 4)))), "left")
+    h1 = form_matrix(left_householder(rng.uniform(-1, 1, (n, 4))), "left")
+    h2 = form_matrix(left_householder(rng.uniform(-1, 1, (n, 4))), "left")
     return h1 @ h2
 
 
