@@ -85,7 +85,8 @@ def test_every_private_name_is_read():
     in the package, as a name or as an attribute; so no helper outlives
     its last caller.  And the reduction builds no reflector object: the
     builders' results are plain arrays."""
-    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES[:-1]}
+    package = Path(quatsvd.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in package.glob("*.py")}
     read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -104,5 +105,5 @@ def test_every_private_name_is_read():
                 defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
         private = {n for n in defined if n.startswith("_") and not n.startswith("__")}
         assert not private - read, (name, sorted(private - read))
-    bidiag = Path(quatsvd.__file__).with_name("bidiag.py").read_text()
+    bidiag = (package / "bidiag.py").read_text()
     assert not re.search(r"\b(QVector|HouseholderReflector)\b", bidiag)
