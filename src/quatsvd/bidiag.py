@@ -3,7 +3,7 @@
 ``bidiagonalize`` alternates left and right Householder reflectors,
 built onto e1, the builders' only target: the left one sends the trailing
 part of column k to a multiple of e1, the right one does the same to the
-trailing part of row k.  The loop hands each builder a copy of the
+trailing part of row k.  The loop hands each builder a view of the
 (n, 4) components of that part and gets back the arrays ``(u, zeta4)``;
 a zero u is the identity reflector, which it skips.  Every entry the
 construction guarantees to vanish, below or right of the band, is
@@ -162,7 +162,7 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
         sub = np.ascontiguousarray(work[k0:, :, k0:])
         for k in range(k0, min(k0 + _NB, cols)):
             i = k - k0
-            u, zeta4 = left_householder(sub[i:, :, i].copy())
+            u, zeta4 = left_householder(sub[i:, :, i])
             s = _ONE  # conj(z), the scalar of row k in L*
             if np.count_nonzero(u):
                 _reflect_left(u, sub[i:], i)
@@ -170,7 +170,7 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
                     s = hamilton(zeta4.tolist(), sigma)
                     lrefl.append((k, u, s))
             if k <= cols - 2:
-                u, zeta4 = right_householder(sub[i, :, i + 1:].T.copy())
+                u, zeta4 = right_householder(sub[i, :, i + 1:].T)
                 sigma = _ONE
                 if np.count_nonzero(u):
                     _reflect_right(u, sub[i:], i + 1)

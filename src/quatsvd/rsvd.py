@@ -74,7 +74,8 @@ def bidiag_svd(band: BidiagonalBand, want_vectors: bool = True) -> RealSvdResult
     Raises NoConvergence, carrying the band's order and norm, if LAPACK
     reports that the SVD did not converge.
     """
-    dense = band.dense().data
+    dense = np.diag(band.d)  # the band as a matrix, in one allocation
+    dense.ravel()[1::band.n + 1] = band.e
     try:
         sigma = np.linalg.svd(dense, compute_uv=False)
         if not want_vectors:

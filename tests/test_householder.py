@@ -243,17 +243,26 @@ def test_rescaled_norm_changes_no_bit(build, k):
 def test_reflector_contract():
     """A build returns the arrays (u, zeta4): u in its input's (n, 4)
     layout as float64 for any real input, C-contiguous from the package's
-    builders, and zeta4 of shape (4,); the input is left as it was."""
+    builders, and zeta4 of shape (4,); the input is left as it was.  The
+    reduction hands the builders strided views of its planar (m, 4, n)
+    block, a column and a transposed row: u shares no memory with the
+    block, and the pair is the one built from the view's contiguous copy."""
     rng = np.random.default_rng(11)
+    block = rng.uniform(-1, 1, (7, 4, 6))
+    views = (block[2:, :, 2], block[2, :, 3:].T)
     for build in BUILDERS:
         for data in (random_vector(5, rng), np.ones((4, 3), dtype=int).T,
-                     np.zeros((3, 4))):
+                     np.zeros((3, 4))) + views:
             before = data.copy()
             u, zeta4 = build(data)
             assert u.shape == data.shape and u.dtype == np.float64
             assert u.flags.c_contiguous or build is right_householder_direct
             assert zeta4.shape == (4,) and zeta4.dtype == np.float64
             assert np.array_equal(data, before)
+            assert not np.shares_memory(u, block)
+            u_copy, zeta4_copy = build(np.ascontiguousarray(data))
+            assert u.tobytes() == u_copy.tobytes()
+            assert zeta4.tobytes() == zeta4_copy.tobytes()
 
 
 @pytest.mark.parametrize("build", BUILDERS)

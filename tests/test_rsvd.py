@@ -134,6 +134,29 @@ def test_values_only_mode(seed, n):
     assert lean.w is None and lean.x is None
 
 
+@pytest.mark.parametrize("n", [1, 2, 20])
+def test_band_matrix_is_the_dense_band(n):
+    """bidiag_svd builds the band's matrix in one allocation: sigma and the
+    signed factors are bit for bit those of LAPACK on dense(), also for a
+    band with an exact zero inside."""
+    rng = np.random.default_rng(n)
+    bands = [random_band(n, rng)]
+    if n > 2:
+        d, e = bands[0].d.copy(), bands[0].e.copy()
+        d[n // 2] = e[n // 2] = 0.0
+        bands.append(BidiagonalBand(d, e))
+    for band in bands:
+        dense = band.dense().data
+        res = bidiag_svd(band)
+        sigma = np.linalg.svd(dense, compute_uv=False)
+        assert res.sigma.tobytes() == sigma.tobytes()
+        assert bidiag_svd(band, want_vectors=False).sigma.tobytes() == sigma.tobytes()
+        w, _, xt = np.linalg.svd(dense)
+        flip = np.where(w[np.argmax(np.abs(w), axis=0), np.arange(n)] < 0.0, -1.0, 1.0)
+        assert res.w.data.tobytes() == (w * flip).tobytes()
+        assert res.x.data.tobytes() == (xt.T * flip).tobytes()
+
+
 def test_graded_band_keeps_small_values():
     band = BidiagonalBand([1e6, 1.0, 1e-6], [1.0, 1e-3])
     res = bidiag_svd(band)
