@@ -2,12 +2,13 @@
 
 A reflector is the pair ``(u, zeta)`` with ``|zeta| = 1`` and either
 ``norm(u) = sqrt(2)`` or ``u = 0`` (the identity case).  Writing
-``z = 1/zeta = conj(zeta)``, the left transformation is ``H = z * (I -
-u @ conj(u).T)`` and maps a chosen column vector ``a`` onto ``norm(a) *
-e1``.  The right transformation ``G = (I - u @ conj(u).T) * z`` does the
-same for row vectors multiplied from the right.  The two cases genuinely
-differ because quaternion multiplication does not commute; the right
-reflector is obtained from a left reflector of the conjugated vector.
+``z = 1/zeta = conj(zeta)``, the left transformation is
+``H = z * (I - u @ conj(u).T)`` and maps a chosen column vector ``a``
+onto ``norm(a) * e1``.  The right transformation
+``G = (I - u @ conj(u).T) * z`` does the same for row vectors multiplied
+from the right.  The two cases genuinely differ because quaternion
+multiplication does not commute; the right reflector is obtained from a
+left reflector of the conjugated vector.
 
 Both builders take the vector as its (n, 4) float64 component array, one
 ``(w, x, y, z)`` row per entry, and return the arrays ``(u, zeta4)``: u
@@ -46,8 +47,7 @@ def _scaled_norm(a) -> tuple[np.ndarray, float]:
     `a` comes back times a power of two for which every later step of a
     build is exact, so u and zeta come out as from `a`."""
     data = _components(np.array(a, order="C"), 2, True, "a reflector's vector")
-    flat = data.ravel()
-    sq = np.vdot(flat, flat)
+    sq = np.vdot(data, data)
     if not _SQ_MIN <= sq <= _SQ_MAX:
         _check_finite(data)
         _, data, sq = _rescaled_squares(data)
