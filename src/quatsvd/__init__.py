@@ -18,13 +18,13 @@ from .oracle import adjoint_error_bound, adjoint_singular_values, real_adjoint
 from .qmat import QMatrix, RMatrix, random_qmatrix
 from .qsvd import QsvdResult, VerifyReport, qsvd, reconstruct, verify
 from .quat import Quaternion
-from .rsvd import BidiagonalBand, RealSvdResult, bidiag_svd
+from .rsvd import bidiag_svd
 
 __all__ = [
     "Quaternion", "QMatrix", "RMatrix", "random_qmatrix",
     "left_householder", "right_householder",
     "BidiagResult", "bidiagonalize", "check_bidiagonal", "extract_band",
-    "BidiagonalBand", "RealSvdResult", "bidiag_svd",
+    "bidiag_svd",
     "real_adjoint", "adjoint_singular_values", "adjoint_error_bound",
     "QsvdResult", "VerifyReport", "qsvd", "reconstruct", "verify",
     "read_qmatrix", "read_rmatrix", "write_qmatrix", "write_rmatrix",

@@ -319,10 +319,10 @@ def extract_band(b: RMatrix, lower: bool = False):
     leading n x n block (n = min(r, c)), e the adjacent off-diagonal,
     length n - 1.  A lower bidiagonal input is transposed first; a nonzero
     band entry outside that block (wide upper, tall lower) is NotBidiagonal."""
+    if not check_bidiagonal(b, upper=not lower):
+        raise NotBidiagonal("matrix has entries outside the bidiagonal band")
     m = b.data.T if lower else b.data
     rows, cols = m.shape
-    if not check_bidiagonal(RMatrix(m), upper=True):
-        raise NotBidiagonal("matrix has entries outside the bidiagonal band")
     n = min(rows, cols)
     if cols > rows and m[n - 1, n] != 0.0:
         raise NotBidiagonal("band entry past the leading square block is nonzero")

@@ -23,7 +23,7 @@ from .bidiag import bidiagonalize, extract_band
 from .errors import GroupingFailure, NoConvergence, ShapeMismatch
 from .oracle import adjoint_error_bound, adjoint_singular_values
 from .qmat import QMatrix, _CONJ, _check_range
-from .rsvd import BidiagonalBand, bidiag_svd
+from .rsvd import bidiag_svd
 
 __all__ = ["QsvdResult", "qsvd", "reconstruct", "verify", "CheckResult", "VerifyReport"]
 
@@ -69,16 +69,16 @@ def qsvd(a: QMatrix, want_vectors: bool = True) -> QsvdResult:
     """
     exponent = _exponent(a.data)
     bd = bidiagonalize(QMatrix(np.ldexp(a.data, -exponent)), accumulate=want_vectors)
-    d, e = extract_band(bd.bidiagonal, lower=not bd.upper)
-    core = bidiag_svd(BidiagonalBand(d, e), want_vectors=want_vectors)
-    _check_range("largest singular value", core.sigma[0], exponent)
-    sigma = np.ldexp(core.sigma, exponent)
+    w, sigma, x = bidiag_svd(*extract_band(bd.bidiagonal, lower=not bd.upper),
+                             want_vectors=want_vectors)
+    _check_range("largest singular value", sigma[0], exponent)
+    sigma = np.ldexp(sigma, exponent)
     if not want_vectors:
         return QsvdResult(u=None, sigma=sigma, v=None)
 
     # B is lower bidiagonal when A is wide: the band was transposed on the
     # way in, so the roles of the real factors swap on the way out.
-    w, x = (core.w.data, core.x.data) if bd.upper else (core.x.data, core.w.data)
+    w, x = (w, x) if bd.upper else (x, w)
     # U = conj(L).T W: lift from the plain transpose of L and conjugate the
     # product, which commutes with the real W.
     u = _lift(bd.left.data.swapaxes(0, 1), w)

@@ -15,6 +15,7 @@ from quatsvd import (
     GroupingFailure,
     QMatrix,
     Quaternion,
+    RMatrix,
     random_qmatrix,
     read_qmatrix,
     read_rmatrix,
@@ -69,6 +70,12 @@ def test_gen_rejects_bad_arguments(tmp_path, capsys):
     assert main(["gen", "--rows", "2", "--cols", "2", "--seed", str(2**64), "--out", out]) == 2
     assert main(["gen", "--rows", "2", "--cols", "2", "--seed", "-1", "--out", out]) == 2
     capsys.readouterr()
+
+
+def test_gen_rejects_a_non_integer_size(tmp_path, capsys):
+    out = str(tmp_path / "m.qmat")
+    assert main(["gen", "--rows", "abc", "--cols", "2", "--seed", "1", "--out", out]) == 2
+    assert "not an integer: 'abc'" in capsys.readouterr().err
 
 
 # --- bidiag ------------------------------------------------------------------
@@ -217,6 +224,24 @@ def test_check_rejects_wrong_shape_factor(tmp_path, capsys):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize("name, write, message", [
+    ("U.qmat", lambda path: write_qmatrix(QMatrix.identity(2), path), "U is 2x2, expected 3x3"),
+    ("S.rmat", lambda path: write_rmatrix(RMatrix.identity(2), path),
+     "singular value matrix is 2x2, expected 3x2"),
+], ids=["U", "S"])
+def test_check_names_the_factor_of_the_wrong_shape(tmp_path, capsys, name, write, message):
+    src = tmp_path / "a.qmat"
+    assert main(["gen", "--rows", "3", "--cols", "2", "--seed", "17", "--out", str(src)]) == 0
+    out = tmp_path / "svd"
+    assert main(["svd", str(src), "--out-dir", str(out)]) == 0
+    write(out / name)
+
+    code = main(["check", str(src), "--u", str(out / "U.qmat"),
+                 "--s", str(out / "S.rmat"), "--v", str(out / "V.qmat")])
+    assert code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_check_rejects_bad_tolerance(tmp_path, capsys):
     src = tmp_path / "a.qmat"
     write_scalar(src, Quaternion(1))
@@ -224,6 +249,10 @@ def test_check_rejects_bad_tolerance(tmp_path, capsys):
                  "--v", str(src), "--tol", "-1"])
     capsys.readouterr()
     assert code == 2
+    code = main(["check", str(src), "--u", str(src), "--s", str(src),
+                 "--v", str(src), "--tol", "x"])
+    assert code == 2
+    assert "not a number: 'x'" in capsys.readouterr().err
 
 
 # --- adjoint-svs ---------------------------------------------------------------

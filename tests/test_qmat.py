@@ -227,6 +227,36 @@ def test_real_promotion_round_trip():
     assert np.array_equal(q.data[..., 0], r.data)
 
 
+def test_real_matrix_entries_and_product():
+    r = RMatrix(np.arange(6, dtype=float).reshape(2, 3))
+    assert r[1, 2] == 5.0 and type(r[1, 2]) is float
+    r[0, 1] = 7
+    assert r.data[0, 1] == 7.0
+    with pytest.raises(TypeError):
+        r[0, 1] = 1j
+    assert r.data[0, 1] == 7.0
+    other = RMatrix(np.arange(12, dtype=float).reshape(3, 4))
+    product = r @ other
+    assert isinstance(product, RMatrix)
+    assert np.array_equal(product.data, r.data @ other.data)
+    with pytest.raises(TypeError):
+        r @ 2.0
+
+
+def test_matrix_repr_names_type_and_shape():
+    assert repr(QMatrix.zeros(2, 3)) == "QMatrix(2x3)"
+    assert repr(RMatrix.identity(4)) == "RMatrix(4x4)"
+
+
+def test_quaternion_entry_from_components():
+    m = QMatrix.zeros(2, 2)
+    m[1, 0] = [1.0, -2.0, 3.0, -4.0]
+    assert m[1, 0] == Quaternion(1.0, -2.0, 3.0, -4.0)
+    with pytest.raises(ShapeMismatch):
+        m[0, 0] = [1.0, 2.0, 3.0]
+    assert not m.data[0, 0].any()
+
+
 def test_mixed_real_quaternion_products():
     rng = np.random.default_rng(9)
     a = random_qmatrix(3, 3, rng)

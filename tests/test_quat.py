@@ -153,6 +153,11 @@ def test_scalar_multiplication_both_sides():
     assert 2.0 * q == q * 2.0 == Quaternion(2, -4, 6, -8)
 
 
+def test_product_with_a_non_number_raises_type_error():
+    with pytest.raises(TypeError):
+        Quaternion(1) * "a"
+
+
 def test_str_round_trips():
     q = Quaternion(1 / 3, -0.0, 1e-300, 12345.6789)
     parts = [float(tok) for tok in str(q).split(" ")]
