@@ -61,4 +61,6 @@ def bidiag_svd(d, e, want_vectors: bool = True):
                             f"{norm!r}: {err}", n=n, band_norm=norm) from None
     pivot = w[np.argmax(np.abs(w), axis=0), np.arange(n)]
     flip = np.where(pivot < 0.0, -1.0, 1.0)
+    # xt.T * flip would be F-ordered, and the order of X reaches the bits
+    # of qsvd's factors through the lift's gemm.
     return w * flip, sigma, np.multiply(xt.T, flip, order="C")

@@ -70,10 +70,6 @@ def test_gen_rejects_bad_arguments(tmp_path, capsys):
     assert main(["gen", "--rows", "2", "--cols", "2", "--seed", str(2**64), "--out", out]) == 2
     assert main(["gen", "--rows", "2", "--cols", "2", "--seed", "-1", "--out", out]) == 2
     capsys.readouterr()
-
-
-def test_gen_rejects_a_non_integer_size(tmp_path, capsys):
-    out = str(tmp_path / "m.qmat")
     assert main(["gen", "--rows", "abc", "--cols", "2", "--seed", "1", "--out", out]) == 2
     assert "not an integer: 'abc'" in capsys.readouterr().err
 
@@ -215,31 +211,16 @@ def test_check_rejects_wrong_shape_factor(tmp_path, capsys):
     assert main(["gen", "--rows", "3", "--cols", "2", "--seed", "17", "--out", str(src)]) == 0
     out = tmp_path / "svd"
     assert main(["svd", str(src), "--out-dir", str(out)]) == 0
-    write_qmatrix(QMatrix.identity(3), out / "V.qmat")  # should be 2x2
-
-    code = main(["check", str(src), "--u", str(out / "U.qmat"),
-                 "--s", str(out / "S.rmat"), "--v", str(out / "V.qmat")])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "error:" in captured.err
-
-
-@pytest.mark.parametrize("name, write, message", [
-    ("U.qmat", lambda path: write_qmatrix(QMatrix.identity(2), path), "U is 2x2, expected 3x3"),
-    ("S.rmat", lambda path: write_rmatrix(RMatrix.identity(2), path),
-     "singular value matrix is 2x2, expected 3x2"),
-], ids=["U", "S"])
-def test_check_names_the_factor_of_the_wrong_shape(tmp_path, capsys, name, write, message):
-    src = tmp_path / "a.qmat"
-    assert main(["gen", "--rows", "3", "--cols", "2", "--seed", "17", "--out", str(src)]) == 0
-    out = tmp_path / "svd"
-    assert main(["svd", str(src), "--out-dir", str(out)]) == 0
-    write(out / name)
-
-    code = main(["check", str(src), "--u", str(out / "U.qmat"),
-                 "--s", str(out / "S.rmat"), "--v", str(out / "V.qmat")])
-    assert code == 2
-    assert f"error: {message}" in capsys.readouterr().err
+    files = {"--u": out / "U.qmat", "--s": out / "S.rmat", "--v": out / "V.qmat"}
+    for flag, wrong, message in [
+            ("--v", QMatrix.identity(3), "V is 3x3, expected 2x2"),
+            ("--u", QMatrix.identity(2), "U is 2x2, expected 3x3"),
+            ("--s", RMatrix.identity(2), "singular value matrix is 2x2, expected 3x2")]:
+        path = tmp_path / "wrong"
+        (write_rmatrix if isinstance(wrong, RMatrix) else write_qmatrix)(wrong, path)
+        args = [str(part) for pair in {**files, flag: path}.items() for part in pair]
+        assert main(["check", str(src), *args]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_check_rejects_bad_tolerance(tmp_path, capsys):

@@ -151,11 +151,8 @@ def test_q_times_conjugate_is_modulus_squared(q):
 def test_scalar_multiplication_both_sides():
     q = Quaternion(1, -2, 3, -4)
     assert 2.0 * q == q * 2.0 == Quaternion(2, -4, 6, -8)
-
-
-def test_product_with_a_non_number_raises_type_error():
     with pytest.raises(TypeError):
-        Quaternion(1) * "a"
+        q * "a"
 
 
 def test_str_round_trips():
