@@ -195,7 +195,7 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
         if wide:
             # L A* R = B' gives R* A L* = B'.T.
             lfac, rfac = rfac, lfac
-        left = QMatrix(lfac.transpose(2, 0, 1) * _CONJ)
+        left = QMatrix(np.multiply(lfac.transpose(2, 0, 1), _CONJ, order="C"))
         right = QMatrix(rfac.transpose(0, 2, 1))
     return BidiagResult(
         left=left,

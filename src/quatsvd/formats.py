@@ -3,9 +3,12 @@
 QMAT: line 1 ``QMAT 1``, line 2 ``<rows> <cols>``, then rows*cols lines of
 four whitespace-separated floats ``w x y z`` in row-major order.  RMAT is
 the same with header ``RMAT 1`` and one float per line.  Files are UTF-8
-with LF line endings; lines starting with ``#`` are ignored.  Floats are
-written with shortest round-trip formatting, so write/parse is bit-exact.
-"""
+with LF line endings.  Blank lines are ignored, and so is a line whose
+first non-blank character is ``#``; a ``#`` later in a line is a field.
+Each field is read as np.loadtxt reads a float64, which takes neither the
+digit-group underscores nor the non-ASCII digits that float() also reads.
+Floats are written with shortest round-trip formatting, so write/parse is
+bit-exact."""
 
 from __future__ import annotations
 
@@ -50,12 +53,10 @@ def _write_lines(path, lines) -> None:
 
 
 def _content_lines(raw_lines):
-    """Yield (line_no, stripped_text) skipping comments and blank lines."""
-    for line_no, raw in enumerate(raw_lines, start=1):
-        text = raw.rstrip("\n").rstrip("\r")
-        if not text.strip() or text.lstrip().startswith("#"):
-            continue
-        yield line_no, text
+    """Yield (line_no, text) of each line that is neither blank nor a comment."""
+    for line_no, text in enumerate(raw_lines, start=1):
+        if text.strip() and not text.lstrip().startswith("#"):
+            yield line_no, text
 
 
 def _read_text(path) -> str:
@@ -73,48 +74,20 @@ def _read_text(path) -> str:
 
 
 def _read_body(path, magic, per_line):
+    """(rows, cols, values) of a file with `per_line` floats per entry.
+
+    The header and the dimensions are parsed from the first two content
+    lines.  Every entry is then read by one np.loadtxt call over the lines
+    after the dimensions, full-line comments dropped first; loadtxt skips
+    blank lines itself.  A body that loadtxt refuses, or reads to any shape
+    but one row per entry, raises the error _first_bad_line names.
+    """
     text = _read_text(path)
     raw = text.split("\n")
-    return _regular_body(text, raw, magic, per_line) or _parse_lines(raw, magic, per_line)
-
-
-def _regular_body(text, raw, magic, per_line):
-    """(rows, cols, values) of a file laid out the way the writers lay it
-    out, parsed in bulk; None for anything else, which the line loop then
-    parses or rejects with a line number.
-
-    Regular means: the header on line 1, the dimensions on line 2, no
-    ``#`` anywhere, and exactly rows * cols further lines that np.loadtxt
-    reads as `per_line` columns.  loadtxt converts each field with the
-    same correctly rounded routine as float(), and refuses what float()
-    takes beyond it (underscores, non-ASCII digits), so every file this
-    accepts the loop accepts too, with bit-identical values.
-    """
-    if "#" in text or len(raw) < 3 or raw[0].split() != [magic, str(FORMAT_VERSION)]:
-        return None
-    dims = raw[1].split()
-    body = raw[2:-1] if raw[-1] == "" else raw[2:]
-    if len(dims) != 2:
-        return None
-    try:
-        rows, cols = int(dims[0]), int(dims[1])
-        # A first data line rules out an all-blank body, on which loadtxt warns.
-        if rows < 1 or cols < 1 or len(body) != rows * cols or not body[0].strip():
-            return None
-        values = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if values.shape != (rows * cols, per_line):
-        return None
-    return rows, cols, values.ravel()
-
-
-def _parse_lines(raw, magic, per_line):
     lines = _content_lines(raw)
 
     line_no, header = _next_line(lines, "missing header")
-    parts = header.split()
-    if parts != [magic, str(FORMAT_VERSION)]:
+    if header.split() != [magic, str(FORMAT_VERSION)]:
         raise FormatError(line_no, f"expected header '{magic} {FORMAT_VERSION}', got {header!r}")
 
     line_no, dims = _next_line(lines, "missing dimensions line")
@@ -128,28 +101,42 @@ def _parse_lines(raw, magic, per_line):
     if rows < 1 or cols < 1:
         raise FormatError(line_no, f"dimensions must be positive, got {rows} x {cols}")
 
-    count = rows * cols
-    # Sized by the file too, so that no header allocates beyond it.
-    values = np.empty(min(count, len(raw)) * per_line, dtype=np.float64)
-    filled = 0
-    last_line = line_no
-    for line_no, text in lines:
-        if filled >= count * per_line:
-            raise FormatError(line_no, "unexpected extra data after matrix entries")
+    body = raw[line_no:]
+    if "#" in text:
+        body = [line for line in body if not line.lstrip().startswith("#")]
+    values = None
+    # On a body with no data line loadtxt warns instead of raising.
+    if any(map(str.strip, body)):
+        try:
+            values = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if values is None or values.shape != (rows * cols, per_line):
+        raise _first_bad_line(lines, line_no, rows * cols, per_line)
+    return rows, cols, values.ravel()
+
+
+def _first_bad_line(lines, last_line, count, per_line):
+    """The FormatError of the first content line in `lines` that breaks
+    the layout of `count` entries of `per_line` fields, or of the file
+    ending early after `last_line`.  Each field is judged by np.loadtxt
+    alone, as the one read judged it, so every body that read refuses gets
+    the error of its first bad line and no other."""
+    entries = 0
+    for last_line, text in lines:
+        if entries == count:
+            return FormatError(last_line, "unexpected extra data after matrix entries")
         tokens = text.split()
         if len(tokens) != per_line:
-            raise FormatError(line_no, f"expected {per_line} value(s) per line, got {len(tokens)}")
+            return FormatError(last_line,
+                               f"expected {per_line} value(s) per line, got {len(tokens)}")
         for tok in tokens:
             try:
-                values[filled] = float(tok)
+                np.loadtxt([tok], dtype=np.float64, comments=None)
             except ValueError:
-                raise FormatError(line_no, f"not a float: {tok!r}") from None
-            filled += 1
-        last_line = line_no
-    if filled != count * per_line:
-        raise FormatError(last_line, f"expected {count} entry line(s), file ended after "
-                                     f"{filled // per_line}")
-    return rows, cols, values
+                return FormatError(last_line, f"not a float: {tok!r}")
+        entries += 1
+    return FormatError(last_line, f"expected {count} entry line(s), file ended after {entries}")
 
 
 def _next_line(lines, missing_message):

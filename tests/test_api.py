@@ -81,6 +81,15 @@ def test_every_import_is_used(path):
     assert not imported - used, sorted(imported - used)
 
 
+def test_formats_reads_no_field_with_float():
+    """formats.py names no builtin float, so np.loadtxt stays the one
+    grammar of a QMAT or RMAT entry: float() alone also reads underscores
+    and non-ASCII digits."""
+    tree = ast.parse((Path(quatsvd.__file__).parent / "formats.py").read_text())
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id == "float"]
+
+
 def test_every_private_name_is_read():
     """A private name defined at the top level of a module in
     src/quatsvd/, or in the body of one of its classes, is read somewhere

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatsvd import formats
 from quatsvd.errors import FormatError
 from quatsvd.formats import (matrix_file_kind, read_qmatrix, read_rmatrix,
                              write_qmatrix, write_rmatrix)
@@ -79,25 +78,36 @@ def test_crlf_and_cr_line_ends_read_as_lf(tmp_path):
         assert matrix_file_kind(path) == "QMAT"
 
 
-@pytest.mark.parametrize("content, line_no", [
-    ("QMAT 2\n1 1\n1 0 0 0\n", 1),
-    ("RMAT 1\n1 1\n1\n", 1),           # wrong magic for a qmat read
-    ("QMAT 1\n1\n1 0 0 0\n", 2),
-    ("QMAT 1\n0 4\n", 2),
-    ("QMAT 1\na b\n", 2),
-    ("QMAT 1\n1 1\n1 0 0\n", 3),
-    ("QMAT 1\n1 1\n1 0 0 nope\n", 3),
-    ("QMAT 1\n1 1\n1 0 0 0\n9 9 9 9\n", 4),
-    ("QMAT 1\n# caf\xe9\n1 1\n1 0 0 0\n", 2),  # byte 0xe9, not UTF-8
-    ("QMAT 1\r1 1\r1 0 \xff 0\r", 3),  # lone CR line ends count as lines
-])
+# content: (line number, message); every case fails with both.
+PARSE_ERRORS = {
+    "QMAT 2\n1 1\n1 0 0 0\n": (1, "expected header 'QMAT 1', got 'QMAT 2'"),
+    "RMAT 1\n1 1\n1\n": (1, "expected header 'QMAT 1', got 'RMAT 1'"),  # wrong magic
+    "QMAT 1\n1\n1 0 0 0\n": (2, "expected '<rows> <cols>', got '1'"),
+    "QMAT 1\n0 4\n": (2, "dimensions must be positive, got 0 x 4"),
+    "QMAT 1\na b\n": (2, "dimensions must be integers, got 'a b'"),
+    "QMAT 1\n1 1\n1 0 0\n": (3, "expected 4 value(s) per line, got 3"),
+    "QMAT 1\n1 1\n1 0 0 nope\n": (3, "not a float: 'nope'"),
+    "QMAT 1\n1 1\n1 0 0 0\n9 9 9 9\n": (4, "unexpected extra data after matrix entries"),
+    "QMAT 1\n# caf\xe9\n1 1\n1 0 0 0\n": (2, "byte 0xe9 is not valid UTF-8"),
+    "QMAT 1\r1 1\r1 0 \xff 0\r": (3, "byte 0xff is not valid UTF-8"),  # lone CRs end lines
+    # A comment takes a whole line; a mid-line # is two more fields.
+    "QMAT 1\n1 1\n1 0 0 0 # note\n": (3, "expected 4 value(s) per line, got 6"),
+    # No data line at all: an error, not loadtxt's "input contained no
+    # data" warning, which filterwarnings = error would turn into a crash.
+    "QMAT 1\n1 1\n": (2, "expected 1 entry line(s), file ended after 0"),
+    "QMAT 1\n1 1\n\n  \n": (2, "expected 1 entry line(s), file ended after 0"),
+    "QMAT 1\n1 1\n# only a note\n": (2, "expected 1 entry line(s), file ended after 0"),
+}
+
+
+@pytest.mark.parametrize("content, line_no", [(c, n) for c, (n, _) in PARSE_ERRORS.items()])
 def test_parse_errors_carry_line_numbers(tmp_path, content, line_no):
     path = tmp_path / "bad.qmat"
     path.write_text(content, encoding="latin-1")  # one byte per character
     with pytest.raises(FormatError) as err:
         read_qmatrix(path)
     assert err.value.line_no == line_no
-    assert f"line {line_no}" in str(err.value)
+    assert str(err.value) == f"line {line_no}: {PARSE_ERRORS[content][1]}"
 
 
 def test_truncated_file_reports_last_line(tmp_path):
@@ -134,7 +144,7 @@ def test_matrix_file_kind(tmp_path):
     assert matrix_file_kind(r) == "RMAT"
 
 
-# --- bulk paths ---------------------------------------------------------------
+# --- large files -------------------------------------------------------------
 
 
 def _special_matrix():
@@ -165,17 +175,13 @@ def test_bulk_writers_match_per_entry_formatting(tmp_path):
         "RMAT", r.shape, r.data.reshape(-1, 1))
 
 
-def test_bulk_and_line_readers_agree_bit_for_bit(tmp_path):
+def test_large_special_matrix_reads_back_bit_for_bit(tmp_path):
+    # Every entry as float() reads its text, and the file's own bytes.
     m = _special_matrix()
     path = tmp_path / "m.qmat"
     write_qmatrix(m, path)
-    text = path.read_text()
-    raw = text.split("\n")
-    bulk = formats._regular_body(text, raw, "QMAT", 4)
-    assert bulk is not None
-    rows, cols, values = formats._parse_lines(raw, "QMAT", 4)
-    assert bulk[:2] == (rows, cols) == (64, 64)
-    assert bulk[2].tobytes() == values.tobytes() == m.data.tobytes()
+    entries = [float(tok) for tok in path.read_text().split()[4:]]
+    assert np.array(entries).tobytes() == m.data.tobytes()
     assert read_qmatrix(path).data.tobytes() == m.data.tobytes()
 
 
@@ -195,13 +201,14 @@ def test_irregular_but_valid_layouts_parse(tmp_path, edit):
     assert read_qmatrix(path).data.tobytes() == m.data.tobytes()
 
 
-def test_only_the_line_loop_takes_what_float_alone_accepts(tmp_path):
-    # float() reads "1_0" as 10; the bulk path must leave it to the loop.
+def test_underscores_and_non_ascii_digits_are_errors(tmp_path):
+    # float() reads both, as 10 and 1; np.loadtxt, the one reader, reads neither.
     path = tmp_path / "u.rmat"
-    path.write_text("RMAT 1\n1 2\n1_0\n2.5\n")
-    text = path.read_text()
-    assert formats._regular_body(text, text.split("\n"), "RMAT", 1) is None
-    assert list(read_rmatrix(path).data[0]) == [10.0, 2.5]
+    for tok in ("1_0", "\u0661"):
+        path.write_text(f"RMAT 1\n1 2\n{tok}\n2.5\n", encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            read_rmatrix(path)
+        assert str(err.value) == f"line 3: not a float: {tok!r}"
 
 
 @pytest.mark.parametrize("damage, message", [
