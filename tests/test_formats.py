@@ -176,7 +176,7 @@ def test_bulk_writers_match_per_entry_formatting(tmp_path):
 
 
 def test_large_special_matrix_reads_back_bit_for_bit(tmp_path):
-    # Every entry as float() reads its text, and the file's own bytes.
+    # The read agrees, byte for byte, with float() of every written field.
     m = _special_matrix()
     path = tmp_path / "m.qmat"
     write_qmatrix(m, path)
