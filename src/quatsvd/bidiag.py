@@ -65,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotBidiagonal
-from .householder import left_householder, right_householder
+from .householder import EPS, left_householder, right_householder
 from .qmat import QMatrix, RMatrix, _CONJ, _HAMILTON, _LMAT_OF, _check_finite, _check_range
 from .quat import hamilton
 
@@ -149,6 +149,9 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
     scale = math.frexp(top)[1]
     if scale:
         np.ldexp(work, -scale, out=work)
+    # The negligible-block threshold (see the module docstring), from the
+    # scaled largest component; 2.0 ** scale would overflow at 1024.
+    tau = max(rows, cols) * EPS * math.ldexp(top, -scale)
     # (offset, u, s) of every non-identity reflector, in order, for the
     # factors: L* and R are both products of (I - u u*) S, where S
     # left-multiplies the row at `offset` by s, a unit quaternion.
@@ -156,6 +159,7 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
     # The scalar of the current column in R (see the module docstring).
     sigma = _ONE
 
+    negligible = False
     for k0 in range(0, cols, _NB):
         # The panel's trailing block, C-contiguous, so the rows from step k
         # on are contiguous too.  For k0 = 0 it is the work array itself.
@@ -169,6 +173,11 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
                 if accumulate:
                     s = hamilton(zeta4.tolist(), sigma)
                     lrefl.append((k, u, s))
+            rest = sub[i:]
+            negligible = (math.hypot(*sub[i, :, i].tolist()) <= tau
+                          and math.sqrt(np.vdot(rest, rest)) <= tau)
+            if negligible:
+                break
             if k <= cols - 2:
                 u, zeta4 = right_householder(sub[i, :, i + 1:].T)
                 sigma = _ONE
@@ -183,6 +192,8 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
                         rrefl.append((k + 1, u, sigma))
         if k0:
             work[k0:, :, k0:] = sub
+        if negligible:
+            break
 
     band, residue = _snap_band(work)
     if scale:

@@ -1,8 +1,8 @@
 """QMAT / RMAT text formats, version 1.
 
-QMAT: line 1 ``QMAT 1``, line 2 ``<rows> <cols>``, then rows*cols lines of
-four whitespace-separated floats ``w x y z`` in row-major order.  RMAT is
-the same with header ``RMAT 1`` and one float per line.  Files are UTF-8;
+QMAT: line 1 ``QMAT 1``, line 2 ``<rows> <cols>`` in ASCII decimal digits,
+then rows*cols lines of four whitespace-separated floats ``w x y z`` in
+row-major order.  RMAT is the same with header ``RMAT 1`` and one float per line.  Files are UTF-8;
 the writers end lines with LF, and CRLF or a lone CR reads as LF.  Blank
 lines are ignored, and so is a line whose first non-blank character is
 ``#``; a ``#`` later in a line is a field.  Each field is read as
@@ -95,6 +95,10 @@ def _read_body(path, magic, per_line):
     if len(fields) != 2:
         raise FormatError(line_no, f"expected '<rows> <cols>', got {dims!r}")
     try:
+        # int() alone also reads a sign, digit-group underscores and
+        # non-ASCII digits; it still raises past its limit on digits.
+        if not all(f.isascii() and f.isdigit() for f in fields):
+            raise ValueError
         rows, cols = int(fields[0]), int(fields[1])
     except ValueError:
         raise FormatError(line_no, f"dimensions must be integers, got {dims!r}") from None

@@ -85,6 +85,11 @@ PARSE_ERRORS = {
     "QMAT 1\n1\n1 0 0 0\n": (2, "expected '<rows> <cols>', got '1'"),
     "QMAT 1\n0 4\n": (2, "dimensions must be positive, got 0 x 4"),
     "QMAT 1\na b\n": (2, "dimensions must be integers, got 'a b'"),
+    # int() reads both of these as 10 and 1; the file is UTF-8, so the
+    # Arabic-Indic digit one is written as its two bytes.
+    "QMAT 1\n1_0 1\n": (2, "dimensions must be integers, got '1_0 1'"),
+    "QMAT 1\n1 \xd9\xa1\n": (2, "dimensions must be integers, got '1 \u0661'"),
+    "QMAT 1\n-1 1\n": (2, "dimensions must be integers, got '-1 1'"),
     "QMAT 1\n1 1\n1 0 0\n": (3, "expected 4 value(s) per line, got 3"),
     "QMAT 1\n1 1\n1 0 0 nope\n": (3, "not a float: 'nope'"),
     "QMAT 1\n1 1\n1 0 0 0\n9 9 9 9\n": (4, "unexpected extra data after matrix entries"),
@@ -121,6 +126,10 @@ def test_truncated_file_reports_last_line(tmp_path):
     with pytest.raises(FormatError) as err:
         read_qmatrix(path)
     assert err.value.line_no == 3 and "file ended after 1" in str(err.value)
+    # Past int()'s limit on digits they are still a FormatError.
+    path.write_text("QMAT 1\n" + "9" * 5000 + " 1\n1 0 0 0\n")
+    with pytest.raises(FormatError, match="^line 2: dimensions must be integers"):
+        read_qmatrix(path)
 
 
 def test_empty_file(tmp_path):
