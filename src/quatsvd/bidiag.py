@@ -51,6 +51,21 @@ copy and any exact 2**j A give the same L and R.  That value is NaN or
 infinite exactly when an entry is, and only then is A searched for the
 first such entry, which NonFiniteInput names in A's own order.
 
+The loop stops early at a negligible trailing block, the test xBDSQR
+applies to negligible band entries (Demmel & Kahan 1990) moved one
+stage earlier.  With m the largest component of the scaled copy, in
+[1/2, 1), let tau = max(r, c) * eps * m.  Right after step k's left
+reflector, if the pivot modulus d_k is <= tau, the norm of rows k.. of
+the panel buffer is taken; if it is <= tau too, the loop ends.  The
+snap then keeps the moduli of the remaining band entries and drops the
+rest, and L and R are formed from the reflectors recorded so far.  The
+band so taken is that of a matrix within tau of the reduced one in
+norm, and m <= sigma_max, so by Weyl's bound each sigma moves by at
+most max(r, c) * eps * sigma_max.  On input of rank r the rows past
+about step r hold only rounding noise, so the loop runs about r + 1
+steps instead of min(r, c).  Both modes see the same buffer and stop at
+the same step.
+
 Tall-or-square input yields an upper bidiagonal B.  A wide matrix is
 reduced in the same pass, as LAPACK's xGEBRD does: the work copy holds
 A*, the factors formed for it swap roles, and the band is transposed,
@@ -134,6 +149,15 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
     [1/2, 1): L and R do not change and B scales exactly.  Raises
     NonFiniteInput, naming the first NaN or infinite entry, and
     OverflowError for a B beyond the float range.
+
+    The reduction stops at the first step k whose pivot modulus and
+    trailing rows k.. both have norm at most tau = max(r, c) * eps * m,
+    m the largest component of the scaled copy.  B's entries there are
+    the moduli of that block's band, the rest of the block goes into
+    ``snap_residue``, and L A R differs from B there by at most 2 tau
+    times the scale.  Since m <= sigma_max, Weyl's bound keeps each
+    singular value of B within max(r, c) * eps * sigma_max of A's, and
+    input of rank r takes about r + 1 steps.
     """
     wide = a.cols > a.rows
     # Planar copy of A, or of A* when A is wide, so that rows >= cols.
@@ -149,8 +173,8 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
     scale = math.frexp(top)[1]
     if scale:
         np.ldexp(work, -scale, out=work)
-    # The negligible-block threshold (see the module docstring), from the
-    # scaled largest component; 2.0 ** scale would overflow at 1024.
+    # The negligible-block threshold (see the module docstring);
+    # top / 2.0 ** scale would overflow at scale 1024.
     tau = max(rows, cols) * EPS * math.ldexp(top, -scale)
     # (offset, u, s) of every non-identity reflector, in order, for the
     # factors: L* and R are both products of (I - u u*) S, where S
@@ -159,7 +183,6 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
     # The scalar of the current column in R (see the module docstring).
     sigma = _ONE
 
-    negligible = False
     for k0 in range(0, cols, _NB):
         # The panel's trailing block, C-contiguous, so the rows from step k
         # on are contiguous too.  For k0 = 0 it is the work array itself.

@@ -2,13 +2,14 @@
 
 QMAT: line 1 ``QMAT 1``, line 2 ``<rows> <cols>`` in ASCII decimal digits,
 then rows*cols lines of four whitespace-separated floats ``w x y z`` in
-row-major order.  RMAT is the same with header ``RMAT 1`` and one float per line.  Files are UTF-8;
-the writers end lines with LF, and CRLF or a lone CR reads as LF.  Blank
-lines are ignored, and so is a line whose first non-blank character is
-``#``; a ``#`` later in a line is a field.  Each field is read as
-np.loadtxt reads a float64, which takes neither the digit-group
-underscores nor the non-ASCII digits that float() also reads.  Floats are
-written with shortest round-trip formatting, so write/parse is bit-exact."""
+row-major order.  RMAT is the same with header ``RMAT 1`` and one float
+per line.  Files are UTF-8; the writers end lines with LF, and CRLF or a
+lone CR reads as LF.  Blank lines are ignored, and so is a line whose
+first non-blank character is ``#``; a ``#`` later in a line is a field.
+Each field is read as np.loadtxt reads a float64, which takes neither the
+digit-group underscores nor the non-ASCII digits that float() also reads.
+Floats are written with shortest round-trip formatting, so write/parse is
+bit-exact."""
 
 from __future__ import annotations
 

@@ -66,6 +66,13 @@ def qsvd(a: QMatrix, want_vectors: bool = True) -> QsvdResult:
     LAPACK's scaling would flush it: diag(2**1000, 2**-1000) gives sigma
     [2**1000, 0], although 2**-1000 is a normal double.  The error is
     below the rounding of the largest value, but the small one is lost.
+
+    The reduction stops once its trailing block is below
+    tau = max(r, c) * eps * m, m the largest component of A (see
+    ``bidiagonalize``).  A sigma below tau is then accurate to tau in
+    absolute terms only, which is all the two-sided reduction promises
+    for general input anyway, and input of exact rank r costs about
+    r + 1 reduction steps instead of min(r, c).
     """
     exponent = _exponent(a.data)
     bd = bidiagonalize(QMatrix(np.ldexp(a.data, -exponent)), accumulate=want_vectors)

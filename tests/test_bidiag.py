@@ -16,14 +16,25 @@ from quatsvd import (
     QMatrix,
     Quaternion,
     RMatrix,
+    adjoint_singular_values,
     bidiagonalize,
     check_bidiagonal,
     extract_band,
     left_householder,
+    qsvd,
     random_qmatrix,
     right_householder,
+    verify,
 )
-from references import apply_left, apply_right, form_matrix, scale_left, scale_right
+from references import (
+    apply_left,
+    apply_right,
+    form_matrix,
+    known_sigma_matrix,
+    random_orthonormal_columns,
+    scale_left,
+    scale_right,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=1, max_value=7)
@@ -224,7 +235,7 @@ def test_chained_scalars_keep_long_factors_unitary(shape):
 
 
 @pytest.mark.parametrize("shape", [(40, 17), (17, 40), (33, 33), (64, 64)])
-@pytest.mark.parametrize("rank", [None, 3])
+@pytest.mark.parametrize("rank", [None, 1, 3])
 def test_values_only_band_is_the_moduli_of_full_mode(shape, rank):
     """Both modes run the same bare loop and take the band as moduli: a
     nonnegative band, bit for bit the same with and without the factors."""
@@ -331,6 +342,99 @@ def test_identity_reflectors_inside_a_panel(monkeypatch):
         assert np.abs(res.bidiagonal.data - band).max() <= unit * a.frobenius_norm()
         assert np.abs(res.left.data - left.data).max() <= unit
         assert np.abs(res.right.data - right.data).max() <= unit
+
+
+def _count_builds(monkeypatch):
+    """Records the name of every reflector build the reduction makes."""
+    calls = []
+    for name in ("left_householder", "right_householder"):
+        def counted(a, name=name, original=getattr(bidiag, name)):
+            calls.append(name)
+            return original(a)
+        monkeypatch.setattr(bidiag, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("shape", [(40, 40), (200, 24), (24, 200), (4, 44), (44, 4)])
+@pytest.mark.parametrize("rank", [1, 3])
+def test_rank_deficient_input_stops_after_its_rank(monkeypatch, shape, rank):
+    """Past about step r the trailing block of rank-r input is rounding
+    noise below tau = max(r, c) * eps * m, and the loop stops there; sigma
+    stays within test_known_sigma's bound of the oracle and the factors
+    pass verify."""
+    r, c = shape
+    rng = np.random.default_rng(r * 100 + c + rank)
+    a = random_qmatrix(r, rank, rng) @ random_qmatrix(rank, c, rng)
+    calls = _count_reflections(monkeypatch)
+    for accumulate in (True, False):
+        calls.clear()
+        bidiagonalize(a, accumulate=accumulate)
+        assert [name for name, _, _ in calls].count("_reflect_left") <= rank + 2
+    full, lean = qsvd(a), qsvd(a, want_vectors=False)
+    assert np.array_equal(full.sigma, lean.sigma)
+    oracle = adjoint_singular_values(a)
+    assert np.abs(full.sigma - oracle).max() <= 16 * max(r, c) * EPS * oracle[0]
+    assert verify(a, full).passed
+
+
+def test_graded_full_rank_input_runs_every_step(monkeypatch):
+    """sigma from 1 down to 100 tau: no trailing block is negligible."""
+    n = 30
+    rng = np.random.default_rng(30)
+    p, q = random_orthonormal_columns(n, n, rng), random_orthonormal_columns(n, n, rng)
+    sigma = np.ones(n)
+    # tau follows the largest component, which sigma_min barely moves.
+    for _ in range(2):
+        tau = n * EPS * np.abs(known_sigma_matrix(sigma, p, q).data).max()
+        sigma = np.geomspace(1.0, 100 * tau, n)
+    a = known_sigma_matrix(sigma, p, q)
+    calls = _count_builds(monkeypatch)
+    for accumulate in (True, False):
+        calls.clear()
+        bidiagonalize(a, accumulate=accumulate)
+        assert calls.count("left_householder") == n
+        assert calls.count("right_householder") == n - 1
+    assert np.abs(qsvd(a).sigma - sigma).max() <= 16 * n * EPS
+
+
+@pytest.mark.parametrize("accumulate", [True, False])
+def test_negligible_diagonal_tail_keeps_its_sigma_exactly(monkeypatch, accumulate):
+    """A diagonal tail below tau stops the loop, and the snap keeps the
+    moduli of its band entries bit for bit, where reflectors built from
+    the tail would round them; step 0's reflector rounds the 1 alone."""
+    calls = _count_builds(monkeypatch)
+    a = QMatrix(np.zeros((3, 3, 4)))
+    a.data[[0, 1, 2], [0, 1, 2], [0, 2, 3]] = [1.0, 1e-200, 3e-250]
+    res = bidiagonalize(a, accumulate=accumulate)
+    assert calls.count("left_householder") == 2
+    sigma = qsvd(a, want_vectors=accumulate).sigma
+    for got in (np.diagonal(res.bidiagonal.data), sigma):
+        assert np.array_equal(got[1:], [1e-200, 3e-250])
+        assert abs(got[0] - 1.0) <= 4 * EPS
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 3), (3, 5)])
+def test_zero_matrix_stops_at_step_zero(monkeypatch, shape):
+    calls = _count_builds(monkeypatch)
+    for accumulate in (False, True):
+        calls.clear()
+        res = bidiagonalize(QMatrix(np.zeros((*shape, 4))), accumulate=accumulate)
+        assert calls == ["left_householder"]
+        assert not res.bidiagonal.data.any() and res.snap_residue == 0.0
+    assert unitary_error(res.left) == 0.0 and unitary_error(res.right) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(12, 8), (8, 12)])
+def test_zero_leading_column_does_not_stop_the_loop(monkeypatch, shape):
+    """Step 0's pivot is zero, but the rows left to reduce are not."""
+    r, c = shape
+    a = random_qmatrix(r, c, np.random.default_rng(r + c))
+    a.data[:, 0] = 0.0
+    calls = _count_builds(monkeypatch)
+    res = bidiagonalize(a)
+    n = min(r, c)
+    assert calls.count("right_householder") == n - 1
+    assert recon_error(a, res) <= 64 * max(r, c) * EPS * a.frobenius_norm()
 
 
 @pytest.mark.parametrize("c0", [1, 3])
