@@ -424,7 +424,7 @@ def test_zero_matrix_stops_at_step_zero(monkeypatch, shape):
     assert unitary_error(res.left) == 0.0 and unitary_error(res.right) == 0.0
 
 
-@pytest.mark.parametrize("shape", [(12, 8), (8, 12)])
+@pytest.mark.parametrize("shape", [(12, 8), (8, 8)])
 def test_zero_leading_column_does_not_stop_the_loop(monkeypatch, shape):
     """Step 0's pivot is zero, but the rows left to reduce are not."""
     r, c = shape
