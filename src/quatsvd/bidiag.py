@@ -4,38 +4,30 @@
 built onto e1, the builders' only target: the left one sends the trailing
 part of column k to a multiple of e1, the right one does the same to the
 trailing part of row k.  The loop hands each builder a view of the
-(n, 4) components of that part and gets back the arrays ``(u, zeta4)``;
-a zero u is the identity reflector, which it skips.  Every entry the
-construction guarantees to vanish, below or right of the band, is
-written as exact zero, with the largest discarded norm reported as
-``snap_residue``, so the returned B is banded by construction rather
-than up to rounding noise.  The snap happens once, after the loop: no
-later step reads a value it drops, since after step k the left
-reflectors act on rows and columns >= k+1 and the right ones on rows
->= k+1 and columns >= k+2.
+(n, 4) components of that part and keeps the u of the ``(u, zeta4)``
+it gets back.  Every entry the construction guarantees to vanish, below
+or right of the band, is written as exact zero, with the largest
+discarded norm reported as ``snap_residue``, so the returned B is banded
+by construction rather than up to rounding noise.  The snap happens
+once, after the loop: no later step reads a value it drops, since after
+step k the left reflectors act on rows and columns >= k+1 and the right
+ones on rows >= k+1 and columns >= k+2.
 
 The work runs on a planar (rows, 4, cols) copy: the four components of
 a row sit in four consecutive real rows, so a block of whole rows
 reshapes without a copy to a (4 * rows, cols) real matrix.  Each
-reflector is applied once, as two real gemms against the real form of
-u, and bare: the loop applies ``I - u u*`` and never the builder's unit
-scalar, which would only make the pivot real.  Each scalar commutes
-with every later reflector, and a unit factor on a builder's input
-changes only its scalar, not its ``u u*`` (but for a projection below
-rounding, where the builder fixes zeta = 1 and either reflector is
-valid).  So the loop yields ``B_bare = H A G``, and ``D B_bare S`` is
-real and nonnegative for diagonal unitary D and S: B is the entrywise
-modulus of the band of B_bare.  With accumulation the scalars are
-chained from the builders' zeta, sigma being the scalar of column k in
-S, 1 at the start: a left reflector gives row k of D the scalar
-z = conj(sigma) conj(zeta), and the right one after it gives column
-k+1 of S the scalar conj(zeta') conj(z); an identity reflector leaves 1
-on its row or column.  The loop records the reflectors and these
-scalars; L = D H and R = G S are formed after it, the way LAPACK's
-xORGBR does, by applying panels of reflectors in compact-WY form
-``I - V T V*`` (Schreiber & Van Loan 1989) backward to the diagonal of
-the scalars, so the factors cost real gemms of panel width rather than
-one rank-4 update per reflector.
+reflector is applied once, bare (``I - u u*``, a zero u being an exact
+no-op), as two real gemms against the real form of u.  The loop thus
+yields W = H A G with a quaternion band, and B is its entrywise modulus.
+The unit scalars that make the band real are read off it afterwards, as
+LAPACK's xGBBRD does for a complex band: with s_0 = 1,
+x_k = phase(w_kk s_k) and s_k+1 = phase(conj(w_k,k+1) x_k), or 1 where
+that band entry is zero, L = X* H and R = G S, X and S the diagonals of
+the x_k and s_k, give L A R = B on the band, an unreduced block's too.
+L and R are formed from the recorded reflectors the way LAPACK's xORGBR
+does, by applying panels of them in compact-WY form ``I - V T V*``
+(Schreiber & Van Loan 1989) backward to X and S, so the factors cost
+real gemms of panel width rather than one rank-4 update per reflector.
 
 The trailing block of step k is a strided view of the work copy, and
 numpy runs an in-place ufunc on a strided 2-D view one row at a time,
@@ -57,14 +49,13 @@ stage earlier.  With m the largest component of the scaled copy, in
 [1/2, 1), let tau = max(r, c) * eps * m.  Right after step k's left
 reflector, if the pivot modulus d_k is <= tau, the norm of rows k.. of
 the panel buffer is taken; if it is <= tau too, the loop ends.  The
-snap then keeps the moduli of the remaining band entries and drops the
-rest, and L and R are formed from the reflectors recorded so far.  The
-band so taken is that of a matrix within tau of the reduced one in
-norm, and m <= sigma_max, so by Weyl's bound each sigma moves by at
-most max(r, c) * eps * sigma_max.  On input of rank r the rows past
-about step r hold only rounding noise, so the loop runs about r + 1
-steps instead of min(r, c).  Both modes see the same buffer and stop at
-the same step.
+snap keeps the moduli of the remaining band entries and drops the rest:
+the band of a matrix within tau of the reduced one in norm, and
+m <= sigma_max, so by Weyl's bound each sigma moves by at most
+max(r, c) * eps * sigma_max.  On input of rank r the rows past about
+step r hold only rounding noise, so the loop runs about r + 1 steps
+instead of min(r, c).  Both modes stop at the same step; only full mode
+reads the scalars off the band.
 
 Tall-or-square input yields an upper bidiagonal B.  A wide matrix is
 reduced in the same pass, as LAPACK's xGEBRD does: the work copy holds
@@ -137,9 +128,6 @@ def _reflect_right(u: np.ndarray, rows: np.ndarray, c0: int = 0) -> None:
     flat -= tmat @ u.T
 
 
-_ONE = (1.0, 0.0, 0.0, 0.0)
-
-
 def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
     """Compute unitary L (r x r) and R (c x c) with L A R real bidiagonal.
 
@@ -152,12 +140,9 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
 
     The reduction stops at the first step k whose pivot modulus and
     trailing rows k.. both have norm at most tau = max(r, c) * eps * m,
-    m the largest component of the scaled copy.  B's entries there are
-    the moduli of that block's band, the rest of the block goes into
-    ``snap_residue``, and L A R differs from B there by at most 2 tau
-    times the scale.  Since m <= sigma_max, Weyl's bound keeps each
-    singular value of B within max(r, c) * eps * sigma_max of A's, and
-    input of rank r takes about r + 1 steps.
+    m the largest component of the scaled copy.  The band of L A R is B
+    there too, the rest of the block is in ``snap_residue``, and each
+    singular value of B stays within max(r, c) * eps * sigma_max of A's.
     """
     wide = a.cols > a.rows
     # Planar copy of A, or of A* when A is wide, so that rows >= cols.
@@ -176,12 +161,8 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
     # The negligible-block threshold (see the module docstring);
     # top / 2.0 ** scale would overflow at scale 1024.
     tau = max(rows, cols) * EPS * math.ldexp(top, -scale)
-    # (offset, u, s) of every non-identity reflector, in order, for the
-    # factors: L* and R are both products of (I - u u*) S, where S
-    # left-multiplies the row at `offset` by s, a unit quaternion.
+    # (offset, u) of every reflector, in order, for the factors.
     lrefl, rrefl = [], []
-    # The scalar of the current column in R (see the module docstring).
-    sigma = _ONE
 
     for k0 in range(0, cols, _NB):
         # The panel's trailing block, C-contiguous, so the rows from step k
@@ -189,30 +170,20 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
         sub = np.ascontiguousarray(work[k0:, :, k0:])
         for k in range(k0, min(k0 + _NB, cols)):
             i = k - k0
-            u, zeta4 = left_householder(sub[i:, :, i])
-            s = _ONE  # conj(z), the scalar of row k in L*
-            if np.count_nonzero(u):
-                _reflect_left(u, sub[i:], i)
-                if accumulate:
-                    s = hamilton(zeta4.tolist(), sigma)
-                    lrefl.append((k, u, s))
+            u = left_householder(sub[i:, :, i])[0]
+            _reflect_left(u, sub[i:], i)
+            if accumulate:
+                lrefl.append((k, u))
             rest = sub[i:]
             negligible = (math.hypot(*sub[i, :, i].tolist()) <= tau
                           and math.sqrt(np.vdot(rest, rest)) <= tau)
             if negligible:
                 break
             if k <= cols - 2:
-                u, zeta4 = right_householder(sub[i, :, i + 1:].T)
-                sigma = _ONE
-                if np.count_nonzero(u):
-                    _reflect_right(u, sub[i:], i + 1)
-                    if accumulate:
-                        sigma = hamilton((zeta4 * _CONJ).tolist(), s)
-                        # Renormalised, so that rounding does not build up
-                        # along the chain.
-                        norm = math.hypot(*sigma)
-                        sigma = tuple(c / norm for c in sigma)
-                        rrefl.append((k + 1, u, sigma))
+                u = right_householder(sub[i, :, i + 1:].T)[0]
+                _reflect_right(u, sub[i:], i + 1)
+                if accumulate:
+                    rrefl.append((k + 1, u))
         if k0:
             work[k0:, :, k0:] = sub
         if negligible:
@@ -225,7 +196,8 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
         residue = math.ldexp(residue, scale)
     left = right = None
     if accumulate:
-        lfac, rfac = _form_factor(rows, lrefl), _form_factor(cols, rrefl)
+        ldiag, rdiag = _band_scalars(work)
+        lfac, rfac = _form_factor(ldiag, lrefl), _form_factor(rdiag, rrefl)
         if wide:
             # L A* R = B' gives R* A L* = B'.T.
             lfac, rfac = rfac, lfac
@@ -261,6 +233,34 @@ def _snap_band(work: np.ndarray) -> tuple[np.ndarray, float]:
     return band, float(np.sqrt(sq.max(initial=0.0)))
 
 
+_ONE = (1.0, 0.0, 0.0, 0.0)
+
+
+def _band_scalars(work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonals X (rows, 4; 1 past the band) and S (cols, 4) read, as
+    floats, off the band of a reduced planar work array (module docstring)."""
+    rows, _, cols = work.shape
+    diag = np.diagonal(work, 0, 0, 2).T.tolist()
+    conj_super = (np.diagonal(work, 1, 0, 2).T * _CONJ).tolist()
+    x, s = [], [_ONE]
+    for k, d in enumerate(diag):
+        x.append(_phase_of_product(d, s[k]))
+        if k < cols - 1:
+            s.append(_phase_of_product(conj_super[k], x[k]))
+    return np.array(x + [_ONE] * (rows - cols)), np.array(s)
+
+
+def _phase_of_product(p, q) -> tuple[float, float, float, float]:
+    """p q / |p q| for a unit q, and 1 for a zero p; p is brought to unit
+    modulus first, so that a subnormal p keeps its phase."""
+    r = math.hypot(*p)
+    if not r:
+        return _ONE
+    w, x, y, z = hamilton([c / r for c in p], q)
+    r = math.hypot(w, x, y, z)
+    return w / r, x / r, y / r, z / r
+
+
 def _band_views(m: np.ndarray):
     """Views of the diagonal and the superdiagonal of a C-contiguous
     (rows, cols) array."""
@@ -280,24 +280,16 @@ def _band_views(m: np.ndarray):
 _NB = 16
 
 
-def _form_factor(m: int, reflectors) -> np.ndarray:
-    """Planar (m, 4, m) product of ``(I - u_k u_k*) S_k`` over the
-    recorded ``(offset, u_k, s_k)``, k ascending, S_k left-multiplying the
-    row at the offset by the unit quaternion s_k, a (4,) array.
-
-    Offsets ascend and every later u_j is zero on row offset_k, so S_k
-    commutes with every later projector: the product is
-    ``prod (I - u_k u_k*) D``, D diagonal with s_k at offset_k and 1
-    elsewhere.  Panels of _NB reflectors are applied backward to D as
-    ``I - V T V*`` in real form on the planar view.  Each panel touches
-    only the trailing ``[o:, o:]`` block, o its first offset: everything
-    applied so far acts on rows and columns from the next panel's offset
-    on, and D is diagonal.
-    """
+def _form_factor(diag: np.ndarray, reflectors) -> np.ndarray:
+    """Planar (m, 4, m) product ``prod (I - u_k u_k*) D`` over the
+    recorded ``(offset, u_k)``, k ascending, D the diagonal of the unit
+    quaternions in the (m, 4) `diag`, applied backward to D in panels of
+    _NB as ``I - V T V*`` in real form.  Each panel touches only the
+    trailing ``[o:, o:]`` block, o its first offset: everything applied
+    so far acts on rows and columns from there on, and D is diagonal."""
+    m = len(diag)
     out = np.zeros((m, 4, m))
-    out[np.arange(m), 0, np.arange(m)] = 1.0
-    for offset, _, s in reflectors:
-        out[offset, :, offset] = s
+    out[np.arange(m), :, np.arange(m)] = diag
 
     for p in reversed(range(0, len(reflectors), _NB)):
         panel = reflectors[p:p + _NB]
@@ -305,7 +297,7 @@ def _form_factor(m: int, reflectors) -> np.ndarray:
         # Panel vectors as [row, component, j]; real form V, columns
         # ordered (component k, reflector j).
         vp = np.zeros((m - o, 4, width))
-        for j, (offset, u, _) in enumerate(panel):
+        for j, (offset, u) in enumerate(panel):
             vp[offset - o:, :, j] = u
         vmat = np.matmul(_LMAT_OF, vp).reshape(4 * (m - o), 4 * width)
         flat = out[o:, :, o:].reshape(4 * (m - o), m - o)

@@ -23,7 +23,7 @@ from .formats import read_qmatrix, read_rmatrix, write_qmatrix, write_rmatrix
 from .oracle import adjoint_singular_values
 from .bidiag import bidiagonalize
 from .qmat import RMatrix, _check_finite, random_qmatrix
-from .qsvd import CheckResult, QsvdResult, VerifyReport, qsvd, verify
+from .qsvd import _DEFAULT_TOL, CheckResult, QsvdResult, VerifyReport, qsvd, verify
 
 __all__ = ["main", "entry"]
 
@@ -176,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--u", required=True, help="U.qmat path")
     chk.add_argument("--s", required=True, help="S.rmat path")
     chk.add_argument("--v", required=True, help="V.qmat path")
-    chk.add_argument("--tol", type=_tolerance, default=1e-10)
+    chk.add_argument("--tol", type=_tolerance, default=_DEFAULT_TOL)
     chk.set_defaults(func=_run_check)
 
     adj = sub.add_parser("adjoint-svs", help="singular values via the complex adjoint oracle")

@@ -87,10 +87,7 @@ def _read_body(path, magic, per_line):
     raw = text.split("\n")
     lines = _content_lines(raw)
 
-    line_no, header = _next_line(lines, "missing header")
-    if header.split() != [magic, str(FORMAT_VERSION)]:
-        raise FormatError(line_no, f"expected header '{magic} {FORMAT_VERSION}', got {header!r}")
-
+    _read_header(lines, (magic,))
     line_no, dims = _next_line(lines, "missing dimensions line")
     fields = dims.split()
     if len(fields) != 2:
@@ -144,6 +141,16 @@ def _first_bad_line(lines, last_line, count, per_line):
     return FormatError(last_line, f"expected {count} entry line(s), file ended after {entries}")
 
 
+def _read_header(lines, magics) -> str:
+    """The magic of the header, the first content line of `lines`: one of
+    `magics` and version 1, or a FormatError on that line."""
+    line_no, header = _next_line(lines, "missing header")
+    if header.split() not in [[m, str(FORMAT_VERSION)] for m in magics]:
+        expected = " or ".join(f"'{m} {FORMAT_VERSION}'" for m in magics)
+        raise FormatError(line_no, f"expected header {expected}, got {header!r}")
+    return header.split()[0]
+
+
 def _next_line(lines, missing_message):
     try:
         return next(lines)
@@ -152,7 +159,6 @@ def _next_line(lines, missing_message):
 
 
 def matrix_file_kind(path) -> str:
-    """Peek at the header magic of a matrix file ('QMAT' or 'RMAT')."""
-    for _, text in _content_lines(_read_text(path).split("\n")):
-        return text.split()[0]
-    raise FormatError(0, "empty file")
+    """The header magic of a matrix file, 'QMAT' or 'RMAT', by the readers'
+    rule: any other header is a FormatError on its line."""
+    return _read_header(_content_lines(_read_text(path).split("\n")), (QMAT_MAGIC, RMAT_MAGIC))

@@ -27,6 +27,8 @@ from .rsvd import bidiag_svd
 
 __all__ = ["QsvdResult", "qsvd", "reconstruct", "verify", "CheckResult", "VerifyReport"]
 
+_DEFAULT_TOL = 1e-10  # of verify and of ``quatsvd check``
+
 
 @dataclass(frozen=True)
 class QsvdResult:
@@ -146,7 +148,7 @@ def _unitarity_residual(m: QMatrix) -> float:
     return ((m.conj_transpose() @ m) - QMatrix.identity(m.cols)).frobenius_norm()
 
 
-def verify(a: QMatrix, res: QsvdResult, tol: float = 1e-10,
+def verify(a: QMatrix, res: QsvdResult, tol: float = _DEFAULT_TOL,
            with_oracle: bool = True) -> VerifyReport:
     """Bundle of named residual checks for a decomposition of `a`.
 

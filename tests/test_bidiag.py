@@ -333,10 +333,10 @@ def test_identity_reflectors_inside_a_panel(monkeypatch):
         a = _block_diagonal_with_zero(np.random.default_rng(8), at, n)
         res = bidiagonalize(a)
         names = [name for name, _, _ in calls]
-        # Steps 0..n-1 minus the identities at step `at` (left, right) and
-        # `at` - 1 (right).
-        assert names.count("_reflect_left") == n - 1
-        assert names.count("_reflect_right") == n - 1 - 2
+        # Every step, the identities at step `at` (left, right) and `at` - 1
+        # (right) included: a zero u is applied as an exact no-op.
+        assert names.count("_reflect_left") == n
+        assert names.count("_reflect_right") == n - 1
         left, band, right = reflector_bidiagonalize(a)
         unit = 64 * n * EPS
         assert np.abs(res.bidiagonal.data - band).max() <= unit * a.frobenius_norm()
@@ -401,16 +401,26 @@ def test_graded_full_rank_input_runs_every_step(monkeypatch):
 def test_negligible_diagonal_tail_keeps_its_sigma_exactly(monkeypatch, accumulate):
     """A diagonal tail below tau stops the loop, and the snap keeps the
     moduli of its band entries bit for bit, where reflectors built from
-    the tail would round them; step 0's reflector rounds the 1 alone."""
+    the tail would round them; step 0's reflector rounds the 1 alone.
+    The factors carry the phases of the block left unreduced too: each
+    singular triplet holds to its own sigma, measured componentwise, as
+    (3e-250)**2 would underflow."""
     calls = _count_builds(monkeypatch)
-    a = QMatrix(np.zeros((3, 3, 4)))
-    a.data[[0, 1, 2], [0, 1, 2], [0, 2, 3]] = [1.0, 1e-200, 3e-250]
-    res = bidiagonalize(a, accumulate=accumulate)
-    assert calls.count("left_householder") == 2
-    sigma = qsvd(a, want_vectors=accumulate).sigma
-    for got in (np.diagonal(res.bidiagonal.data), sigma):
-        assert np.array_equal(got[1:], [1e-200, 3e-250])
-        assert abs(got[0] - 1.0) <= 4 * EPS
+    for rows in (3, 5):
+        calls.clear()
+        a = QMatrix(np.zeros((rows, 3, 4)))
+        a.data[[0, 1, 2], [0, 1, 2], [0, 2, 3]] = [1.0, 1e-200, 3e-250]
+        res = bidiagonalize(a, accumulate=accumulate)
+        assert calls.count("left_householder") == 2
+        svd = qsvd(a, want_vectors=accumulate)
+        for got in (np.diagonal(res.bidiagonal.data), svd.sigma):
+            assert np.array_equal(got[1:], [1e-200, 3e-250])
+            assert abs(got[0] - 1.0) <= 4 * EPS
+        if accumulate:
+            av = (a @ svd.v).data
+            for k, s in enumerate(svd.sigma):
+                residual = np.abs(av[:, k] - s * svd.u.data[:, k]).max()
+                assert residual <= 16 * rows * EPS * s
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (3, 5)])
@@ -557,7 +567,7 @@ def test_reduction_avoids_interleaved_hamilton_kernels():
               for alias in node.names}
     assert not names & {"_hmatmul", "_apply_left_block", "_apply_right_block",
                         "Quaternion", "_conj", "_MUL", "_FROM_T", "_IDX", "_SIGN_L",
-                        "_SIGN_R", "_hproduct", "_q4", "zeta"}
+                        "_SIGN_R", "_hproduct", "_q4", "zeta", "zeta4"}
 
 
 # --- contract properties ------------------------------------------------------

@@ -23,6 +23,7 @@ from quatsvd import (
     write_rmatrix,
 )
 from quatsvd.cli import main
+from quatsvd.qsvd import QsvdResult, verify
 
 
 def write_scalar(path, q):
@@ -137,6 +138,21 @@ def test_check_round_trip_passes(tmp_path, capsys):
     for name in ["reconstruction", "unitarity(U)", "unitarity(V)",
                  "nonnegativity", "ordering", "oracle", "diagonal(S)"]:
         assert name in captured.out
+
+
+def test_check_default_tolerance_is_verify_default(tmp_path, capsys):
+    """Without --tol, check prints the bounds that verify's own default gives."""
+    a = random_qmatrix(4, 3, np.random.default_rng(17))
+    src, out = run_svd(tmp_path, a)
+    capsys.readouterr()
+    files = [str(out / name) for name in ("U.qmat", "S.rmat", "V.qmat")]
+    assert main(["check", str(src), "--u", files[0], "--s", files[1], "--v", files[2]]) == 0
+    printed = capsys.readouterr().out
+    s = read_rmatrix(files[1]).data
+    report = verify(a, QsvdResult(read_qmatrix(files[0]), np.diagonal(s).copy(),
+                                  read_qmatrix(files[2])))
+    for check in report.checks:
+        assert f"{check.name}: {check.value:.6e} (bound {check.bound:.6e}) pass" in printed
 
 
 def test_check_flags_corrupted_factor(tmp_path, capsys):

@@ -153,6 +153,17 @@ def test_matrix_file_kind(tmp_path):
     assert matrix_file_kind(r) == "RMAT"
 
 
+@pytest.mark.parametrize("header", ["FOO 7", "QMAT 9", "RMAT", "QMAT 1 extra"])
+def test_matrix_file_kind_takes_only_a_readable_header(tmp_path, header):
+    """The readers' header rule: magic QMAT or RMAT and version 1; any
+    other header is a FormatError on its own line."""
+    path = tmp_path / "odd.qmat"
+    path.write_text(f"# note\n\n{header}\n1 1\n1 0 0 0\n")
+    with pytest.raises(FormatError) as err:
+        matrix_file_kind(path)
+    assert str(err.value) == f"line 3: expected header 'QMAT 1' or 'RMAT 1', got {header!r}"
+
+
 # --- large files -------------------------------------------------------------
 
 
