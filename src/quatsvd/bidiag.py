@@ -24,10 +24,11 @@ LAPACK's xGBBRD does for a complex band: with s_0 = 1,
 x_k = phase(w_kk s_k) and s_k+1 = phase(conj(w_k,k+1) x_k), or 1 where
 that band entry is zero, L = X* H and R = G S, X and S the diagonals of
 the x_k and s_k, give L A R = B on the band, an unreduced block's too.
-L and R are formed from the recorded reflectors the way LAPACK's xORGBR
-does, by applying panels of them in compact-WY form ``I - V T V*``
-(Schreiber & Van Loan 1989) backward to X and S, so the factors cost
-real gemms of panel width rather than one rank-4 update per reflector.
+The loop records the vectors alone, left vector k acting on rows k.. and
+right vector k on columns k+1...  ``_apply_panels`` forms L and R from them
+as LAPACK's xORGBR does, applying panels in compact-WY form ``I - V T V*``
+(Schreiber & Van Loan 1989) backward to X and to S past its first row
+and column: real gemms of panel width, not a rank-4 update per reflector.
 
 The trailing block of step k is a strided view of the work copy, and
 numpy runs an in-place ufunc on a strided 2-D view one row at a time,
@@ -161,8 +162,8 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
     # The negligible-block threshold (see the module docstring);
     # top / 2.0 ** scale would overflow at scale 1024.
     tau = max(rows, cols) * EPS * math.ldexp(top, -scale)
-    # (offset, u) of every reflector, in order, for the factors.
-    lrefl, rrefl = [], []
+    # The u of every reflector, in order, for the factors.
+    lvec, rvec = [], []
 
     for k0 in range(0, cols, _NB):
         # The panel's trailing block, C-contiguous, so the rows from step k
@@ -173,7 +174,7 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
             u = left_householder(sub[i:, :, i])[0]
             _reflect_left(u, sub[i:], i)
             if accumulate:
-                lrefl.append((k, u))
+                lvec.append(u)
             rest = sub[i:]
             negligible = (math.hypot(*sub[i, :, i].tolist()) <= tau
                           and math.sqrt(np.vdot(rest, rest)) <= tau)
@@ -183,7 +184,7 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
                 u = right_householder(sub[i, :, i + 1:].T)[0]
                 _reflect_right(u, sub[i:], i + 1)
                 if accumulate:
-                    rrefl.append((k + 1, u))
+                    rvec.append(u)
         if k0:
             work[k0:, :, k0:] = sub
         if negligible:
@@ -196,8 +197,9 @@ def bidiagonalize(a: QMatrix, accumulate: bool = True) -> BidiagResult:
         residue = math.ldexp(residue, scale)
     left = right = None
     if accumulate:
-        ldiag, rdiag = _band_scalars(work)
-        lfac, rfac = _form_factor(ldiag, lrefl), _form_factor(rdiag, rrefl)
+        lfac, rfac = _band_scalars(work)
+        _apply_panels(lfac, lvec)
+        _apply_panels(rfac[1:, :, 1:], rvec)
         if wide:
             # L A* R = B' gives R* A L* = B'.T.
             lfac, rfac = rfac, lfac
@@ -237,8 +239,8 @@ _ONE = (1.0, 0.0, 0.0, 0.0)
 
 
 def _band_scalars(work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonals X (rows, 4; 1 past the band) and S (cols, 4) read, as
-    floats, off the band of a reduced planar work array (module docstring)."""
+    """Planar diagonals X (rows, 4, rows; 1 past the band) and S (cols, 4,
+    cols) read, as floats, off a reduced work array's band (module docstring)."""
     rows, _, cols = work.shape
     diag = np.diagonal(work, 0, 0, 2).T.tolist()
     conj_super = (np.diagonal(work, 1, 0, 2).T * _CONJ).tolist()
@@ -247,7 +249,10 @@ def _band_scalars(work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x.append(_phase_of_product(d, s[k]))
         if k < cols - 1:
             s.append(_phase_of_product(conj_super[k], x[k]))
-    return np.array(x + [_ONE] * (rows - cols)), np.array(s)
+    planar = np.zeros((rows, 4, rows)), np.zeros((cols, 4, cols))
+    for out, scalars in zip(planar, (x + [_ONE] * (rows - cols), s)):
+        out[np.arange(len(out)), :, np.arange(len(out))] = scalars
+    return planar
 
 
 def _phase_of_product(p, q) -> tuple[float, float, float, float]:
@@ -280,29 +285,24 @@ def _band_views(m: np.ndarray):
 _NB = 16
 
 
-def _form_factor(diag: np.ndarray, reflectors) -> np.ndarray:
-    """Planar (m, 4, m) product ``prod (I - u_k u_k*) D`` over the
-    recorded ``(offset, u_k)``, k ascending, D the diagonal of the unit
-    quaternions in the (m, 4) `diag`, applied backward to D in panels of
-    _NB as ``I - V T V*`` in real form.  Each panel touches only the
-    trailing ``[o:, o:]`` block, o its first offset: everything applied
-    so far acts on rows and columns from there on, and D is diagonal."""
-    m = len(diag)
-    out = np.zeros((m, 4, m))
-    out[np.arange(m), :, np.arange(m)] = diag
-
-    for p in reversed(range(0, len(reflectors), _NB)):
-        panel = reflectors[p:p + _NB]
-        o, width = panel[0][0], len(panel)
+def _apply_panels(out: np.ndarray, vectors) -> None:
+    """``out <- (I - u_0 u_0*) (I - u_1 u_1*) ... out`` in place, u_j the
+    j-th of `vectors`, acting on rows j.. of the planar (m, 4, m) `out`,
+    which is diagonal on entry.  Panels of _NB are applied backward as
+    ``I - V T V*`` in real form, each to the trailing ``[p:, p:]`` block
+    alone, p its first vector: all that was applied before acts there.
+    `out` may be a ``[1:, :, 1:]`` view of a C-contiguous array."""
+    m = len(out)
+    for p in reversed(range(0, len(vectors), _NB)):
+        width = min(_NB, len(vectors) - p)
         # Panel vectors as [row, component, j]; real form V, columns
         # ordered (component k, reflector j).
-        vp = np.zeros((m - o, 4, width))
-        for j, (offset, u) in enumerate(panel):
-            vp[offset - o:, :, j] = u
-        vmat = np.matmul(_LMAT_OF, vp).reshape(4 * (m - o), 4 * width)
-        flat = out[o:, :, o:].reshape(4 * (m - o), m - o)
+        vp = np.zeros((m - p, 4, width))
+        for j, u in enumerate(vectors[p:p + width]):
+            vp[j:, :, j] = u
+        vmat = np.matmul(_LMAT_OF, vp).reshape(4 * (m - p), 4 * width)
+        flat = out[p:, :, p:].reshape(4 * (m - p), m - p)
         flat -= vmat @ (_wy_t(vmat, width) @ (vmat.T @ flat))
-    return out
 
 
 def _wy_t(vmat: np.ndarray, width: int) -> np.ndarray:

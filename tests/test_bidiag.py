@@ -222,9 +222,10 @@ def test_formed_factors_are_unitary(shape):
 
 @pytest.mark.parametrize("shape", [(256, 256), (300, 40)])
 def test_chained_scalars_keep_long_factors_unitary(shape):
-    """The loop applies bare reflectors and the factors get the unit
-    scalars chained over every step: after 256 steps the chain has not
-    drifted off the unit sphere, and L A R is still the band."""
+    """The loop applies bare reflectors, and the unit scalars of the
+    factors are read off the band after it, each from the one before and
+    brought back to unit modulus: after 256 steps they have not drifted
+    off the unit sphere, and L A R is still the band."""
     r, c = shape
     a = random_qmatrix(r, c, np.random.default_rng(r * c))
     res = bidiagonalize(a)
@@ -253,7 +254,8 @@ def test_values_only_band_is_the_moduli_of_full_mode(shape, rank):
 @pytest.mark.parametrize("at", [15, 16])
 def test_rank_deficient_block_after_identity_reflectors(at):
     """An identity reflector at step 15 or 16, at the edge of the first
-    panel, resets the chain of scalars; the trailing block has rank 3, so
+    panel, leaves a zero pivot and superdiagonal entry, so the scalars read
+    off the band start again from 1; the trailing block has rank 3, so
     the reflectors past it are built from rounding noise and the factors
     are compared where the leading reflectors determine them."""
     n, rank = 24, 3
@@ -288,6 +290,35 @@ def test_wy_t_inverts_the_strict_block_upper_gram(width):
     expect = np.linalg.inv(np.eye(4 * width) + (vmat.T @ vmat) * strict_upper)
     got = bidiag._wy_t(vmat, width)
     assert np.linalg.norm(got - expect) <= 64 * EPS * np.linalg.norm(expect)
+
+
+@pytest.mark.parametrize("count", [1, 15, 16, 17, 40])
+def test_apply_panels_matches_the_reflectors_one_at_a_time(count):
+    """_apply_panels, in full and split panels of _NB, against the dense
+    I - u_j u_j* of each vector, on rows j.., applied one at a time, the
+    last first, to a diagonal of unit quaternions.  It runs once on a whole
+    array and once on the [1:, :, 1:] view of a larger one; both change in
+    place, and the view's first row and column stay zero."""
+    rng = np.random.default_rng(count)
+    m = count + 3
+    vectors = [rng.standard_normal((m - j, 4)) for j in range(count)]
+    vectors = [u * (np.sqrt(2.0) / np.linalg.norm(u)) for u in vectors]
+    diag = rng.standard_normal((m, 4))
+    diag /= np.linalg.norm(diag, axis=1, keepdims=True)
+    expect = QMatrix.zeros(m, m)
+    expect.data[np.arange(m), np.arange(m)] = diag
+    for j in reversed(range(count)):
+        expect = _embed(form_matrix(_bare((vectors[j], None)), "left"), m, j) @ expect
+    whole = np.zeros((m, 4, m))
+    whole[np.arange(m), :, np.arange(m)] = diag
+    larger = np.zeros((m + 1, 4, m + 1))
+    larger[1:, :, 1:] = whole
+    for out, view in ((whole, whole), (larger, larger[1:, :, 1:])):
+        before = out.copy()
+        bidiag._apply_panels(view, vectors)
+        assert not np.array_equal(out, before)
+        assert np.abs(view.transpose(0, 2, 1) - expect.data).max() <= 8 * m * EPS
+    assert not larger[0].any() and not larger[:, :, 0].any()
 
 
 def _count_reflections(monkeypatch):
@@ -492,7 +523,8 @@ def _identity_left_reflector_under_a_superdiagonal():
     while row 1 still holds the superdiagonal entry e1 != 0: the real
     [[1, 0, 0], [0, 0, 1], [0, 0, 1]], a quaternion one shaped alike, and
     one with a quaternion a01, whose step-0 right reflector is not the
-    identity, so the scalar chained into column 1 of R is not 1 either."""
+    identity, so s_1, the scalar of column 1 of R read off the band entry
+    w_01, is not 1 either."""
     real = RMatrix(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])).promote()
     data = np.zeros((3, 3, 4))
     data[[0, 1, 2], [0, 2, 2]] = np.random.default_rng(11).standard_normal((3, 4))
